@@ -60,6 +60,7 @@ from repro.robustness.campaign import (
 from repro.robustness.watchdog import current_watchdog
 from repro.simulator.connection import FlowHarness, FlowResult, run_flow
 from repro.simulator.lockstep import run_lockstep
+from repro.simulator.metrics import FlowLog
 from repro.telemetry.campaign import CampaignTelemetry
 from repro.telemetry.counters import CountingTelemetry
 from repro.telemetry.progress import ProgressReporter
@@ -138,6 +139,72 @@ class FlowOutcome:
     @property
     def ok(self) -> bool:
         return self.quarantine is None
+
+    def __reduce__(self):
+        # Across a process boundary the log travels as its columns
+        # (FlowLog.to_columns): a fraction of the record-by-record
+        # pickle's bytes and time.  A trace captured from the log shares
+        # its record lists, so only its metadata travels and the trace
+        # is re-captured from the restored log, as a store hit does.
+        result, trace = self.result, self.trace
+        shipped = metadata = None
+        if result is not None:
+            log = result.log
+            shipped = (result.config, log.to_columns(), result.duration, result.telemetry)
+            if (
+                trace is not None
+                and trace.data_packets is log.data_packets
+                and trace.acks is log.acks
+                and trace.timeouts is log.timeouts
+                and trace.recovery_phases is log.recovery_phases
+            ):
+                trace, metadata = None, trace.metadata
+        return (
+            _restore_outcome,
+            (
+                self.index,
+                self.spec,
+                shipped,
+                trace,
+                metadata,
+                self.failures,
+                self.quarantine,
+                self.attempts,
+                self.cache_state,
+                self.skipped,
+            ),
+        )
+
+
+def _restore_outcome(
+    index, spec, shipped, trace, metadata, failures, quarantine, attempts,
+    cache_state, skipped,
+) -> FlowOutcome:
+    """Unpickle a :class:`FlowOutcome` (see its ``__reduce__``)."""
+    result = None
+    if shipped is not None:
+        config, (meta, block), duration, telemetry = shipped
+        result = FlowResult(
+            config=config,
+            log=FlowLog.from_columns(meta, block),
+            duration=duration,
+            telemetry=telemetry,
+        )
+        if metadata is not None:
+            from repro.traces.capture import capture_flow
+
+            trace = capture_flow(result, metadata)
+    return FlowOutcome(
+        index=index,
+        spec=spec,
+        result=result,
+        trace=trace,
+        failures=failures,
+        quarantine=quarantine,
+        attempts=attempts,
+        cache_state=cache_state,
+        skipped=skipped,
+    )
 
 
 def _execute_payload(

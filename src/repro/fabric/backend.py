@@ -61,7 +61,7 @@ class FabricConfig:
     need the URL spelling.  ``extra_worker_args`` appends per-worker
     CLI arguments by spawn index (the chaos suites use it to hand one
     worker ``--sigkill-after N``); workers past the tuple's length get
-    none.
+    none and start once the hooked ones have asked for a lease.
     """
 
     workers: int = 2
@@ -118,6 +118,11 @@ def fabric_scope(config: Optional[FabricConfig]) -> Iterator[Optional[FabricConf
         _ambient_fabric.reset(token)
 
 
+#: longest a fleet waits for its hooked workers to ask for a lease
+#: before starting the rest anyway
+_HOOKED_JOIN_TIMEOUT_S = 30.0
+
+
 class _WorkerFleet:
     """Spawn, watch, and respawn the local worker processes."""
 
@@ -154,8 +159,27 @@ class _WorkerFleet:
             )
         return env
 
-    def spawn(self) -> None:
-        for _ in range(self.config.workers):
+    def spawn(self, workers_seen: Callable[[], int]) -> None:
+        """Launch the configured workers.
+
+        Workers given ``extra_worker_args`` (chaos hooks such as
+        ``--sigkill-after``) start first, and the rest only once each
+        of them has asked the coordinator for a lease (``workers_seen``
+        counts those), so a drill's hook fires on work its worker
+        really got rather than on whichever process won the import
+        race.  A fleet without hooks starts all at once.
+        """
+        hooked = min(len(self.config.extra_worker_args), self.config.workers)
+        for _ in range(hooked):
+            self._launch(self.spawned)
+        deadline = time.monotonic() + _HOOKED_JOIN_TIMEOUT_S
+        while (
+            workers_seen() < hooked
+            and time.monotonic() < deadline
+            and all(proc.poll() is None for proc in self.procs)
+        ):
+            time.sleep(0.01)
+        for _ in range(self.config.workers - hooked):
             self._launch(self.spawned)
 
     def _launch(self, spawn_index: int) -> None:
@@ -268,7 +292,7 @@ class FabricBackend:
                 # external workers need it to attach.
                 print(f"fabric: coordinator at {url}", file=sys.stderr, flush=True)
             fleet = _WorkerFleet(url, config)
-            fleet.spawn()
+            fleet.spawn(lambda: len(coordinator.progress_info()["workers_seen"]))
             try:
                 outcomes = coordinator.wait(
                     progress,

@@ -64,4 +64,7 @@ def run_lockstep(
     sim = simulator if simulator is not None else Simulator()
     harnesses = [setup(sim) for setup in setups]
     sim.run(until=duration)
-    return [harness.result() for harness in harnesses]
+    results = [harness.result() for harness in harnesses]
+    for result in results:
+        result.log.seal()
+    return results

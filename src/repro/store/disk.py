@@ -8,17 +8,22 @@ per flow::
       cd/cdef2345….json.gz
       quarantine/              # corrupt entries, moved aside verbatim
 
-Each entry decompresses to two lines: a small JSON header
-``{schema, key, flow_id, digest}`` and the payload's canonical JSON,
-where ``digest`` is the sha256 of the payload line's bytes.  Keeping
-the digested bytes verbatim in the file means reads hash what they
-just read — the multi-megabyte payload is never *re*-serialised to
-check integrity, which is what makes a warm cache hit cheap.  Reads
-verify the digest (and the key ↔ filename binding); anything that
-fails — truncated gzip, mangled JSON, digest mismatch — is
-*quarantined* (moved aside for post-mortem, never silently deleted)
-and reported as a miss, so a corrupted store degrades into
-recomputation instead of poisoning campaigns.
+Each entry decompresses to a small JSON header line
+``{schema, key, flow_id, digest}`` followed by the *body*, where
+``digest`` is the sha256 of the body's bytes.  The body is the
+payload's JSON line (compact, sorted keys) and, for a flow outcome,
+a newline and the log's column block
+(:meth:`~repro.simulator.metrics.FlowLog.to_columns`) verbatim — no
+per-record JSON at all.  Keeping the digested bytes verbatim in the
+file means reads hash what they just read; nothing is re-serialised
+to check integrity.  Reads verify the digest, the key ↔ filename
+binding, and that the column block is exactly as long as the counts
+in the JSON line say; anything that fails — truncated gzip, mangled
+JSON, digest mismatch, short block — is *quarantined* (moved aside
+for post-mortem, never silently deleted) and reported as a miss, so a
+corrupted store degrades into recomputation instead of poisoning
+campaigns.  An entry written under another schema is *stale*, not
+corrupt: a miss that ``gc`` reclaims.
 
 Writes are atomic: the entry is written to a same-directory temp
 file and ``os.replace``d into place, so a killed campaign can never
@@ -54,7 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.store.format import SCHEMA_VERSION
+from repro.store.format import COLUMNS, SCHEMA_VERSION, column_block_size
 from repro.util.errors import ReproError
 
 __all__ = [
@@ -128,15 +133,21 @@ class StoreStats:
 def encode_entry(key: str, payload: Dict[str, object]) -> bytes:
     """The exact file bytes for one entry.
 
-    Plain JSON, not keys.canonical_json: payloads are already
-    JSON-native (format.encode_outcome built them), and floats must
-    land in the file as bare shortest-repr literals so the stored
-    bytes parse straight back into the payload.  Deterministic:
-    gzip mtime is pinned to 0, so the same payload always encodes to
-    the same bytes — which is what lets the remote transport compare
-    and re-verify entries byte-for-byte.
+    The payload minus its :data:`~repro.store.format.COLUMNS` block is
+    written as plain JSON, not keys.canonical_json: payloads are
+    already JSON-native (format.encode_outcome built them), and floats
+    must land in the file as bare shortest-repr literals so the stored
+    bytes parse straight back into the payload.  The column block, when
+    the payload has one, follows after a newline as raw bytes.
+    Deterministic: gzip mtime is pinned to 0, so the same payload
+    always encodes to the same bytes — which is what lets the remote
+    transport compare and re-verify entries byte-for-byte.
     """
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    fields = {name: value for name, value in payload.items() if name != COLUMNS}
+    body = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+    block = payload.get(COLUMNS)
+    if block is not None:
+        body = b"\n".join((body, block))
     header = {
         "schema": SCHEMA_VERSION,
         "key": key,
@@ -193,14 +204,27 @@ def decode_entry(raw: bytes, key: str) -> Optional[Dict[str, object]]:
         return None  # stale, not corrupt: gc's business
     if hashlib.sha256(body).hexdigest() != header.get("digest"):
         raise CorruptEntryError(key, "payload digest mismatch")
+    line, sep, block = body.partition(b"\n")
     try:
-        payload = json.loads(body)
+        payload = json.loads(line)
     except ValueError as error:  # digest collision-with-garbage only
         raise CorruptEntryError(
             key, f"unparseable payload: {error}"
         ) from None
     if not isinstance(payload, dict):
         raise CorruptEntryError(key, "payload is not an object")
+    if sep:
+        try:
+            expected = column_block_size(payload)
+        except ValueError as error:
+            raise CorruptEntryError(key, str(error)) from None
+        if len(block) != expected:
+            raise CorruptEntryError(
+                key,
+                f"column block holds {len(block)} bytes; its counts "
+                f"describe {expected}",
+            )
+        payload[COLUMNS] = block
     return payload
 
 

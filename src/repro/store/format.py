@@ -1,21 +1,27 @@
-"""Result serialisation: FlowOutcome ↔ JSON payload, exactly.
+"""Result serialisation: FlowOutcome ↔ store payload, exactly.
 
 The store persists everything needed to reconstruct a successful
 :class:`~repro.exec.executor.FlowOutcome` *byte-identically*: the built
 :class:`~repro.simulator.connection.ConnectionConfig`, the complete
-:class:`~repro.simulator.metrics.FlowLog` (per-record, as compact
-arrays), the flow duration, the per-flow telemetry counters when the
-flow ran instrumented, plus the retry bookkeeping (failures, attempt
-count) so a cached flow replays into a
-:class:`~repro.robustness.campaign.CampaignReport` exactly as its live
-run did.
+:class:`~repro.simulator.metrics.FlowLog`, the flow duration, the
+per-flow telemetry counters when the flow ran instrumented, plus the
+retry bookkeeping (failures, attempt count) so a cached flow replays
+into a :class:`~repro.robustness.campaign.CampaignReport` exactly as
+its live run did.
+
+A payload is a JSON-native dict plus one ``bytes`` value under
+:data:`COLUMNS`: the log's column block from
+:meth:`FlowLog.to_columns <repro.simulator.metrics.FlowLog.to_columns>`,
+whose small dict (counts, phase names, timeouts, recovery phases) sits
+at ``payload["result"]["log"]``.  :func:`repro.store.disk.encode_entry`
+writes the dict as one JSON line and the block after it verbatim.
 
 Fidelity notes:
 
-* floats round-trip exactly — Python's JSON writer emits the shortest
-  repr and the reader parses it back to the identical IEEE-754 value;
-* booleans are stored as JSON booleans (not 0/1), so re-pickled records
-  compare byte-for-byte with fresh ones;
+* the column codec is exact (see :mod:`repro.simulator.metrics`), and
+  the JSON fields round-trip exactly too — Python's JSON writer emits
+  the shortest float repr and the reader parses it back to the
+  identical IEEE-754 value;
 * the flow *trace* is not stored — it is re-captured from the restored
   log and the requesting spec's own metadata, which is also what makes
   one stored simulation reusable under any capture metadata.
@@ -33,22 +39,25 @@ from repro.exec.executor import FlowOutcome
 from repro.exec.spec import FlowSpec
 from repro.robustness.campaign import FlowFailure
 from repro.simulator.connection import ConnectionConfig, FlowResult
-from repro.simulator.metrics import (
-    AckRecord,
-    CwndSample,
-    DataPacketRecord,
-    FlowLog,
-    RecoveryPhaseRecord,
-    TimeoutRecord,
-)
+from repro.simulator.metrics import FlowLog
 from repro.telemetry.counters import COUNTER_NAMES, CountingTelemetry
 
-__all__ = ["SCHEMA_VERSION", "decode_outcome", "encode_outcome"]
+__all__ = [
+    "COLUMNS",
+    "SCHEMA_VERSION",
+    "column_block_size",
+    "decode_outcome",
+    "encode_outcome",
+]
 
 #: On-disk payload schema.  Bump on any change to the encoding below;
 #: ``ResultStore.gc`` drops entries written under older schemas.
 #: 2: FlowFailure records gained ``failure_class`` (the retry taxonomy).
-SCHEMA_VERSION = 2
+#: 3: the log is a column block after the JSON line, not JSON rows.
+SCHEMA_VERSION = 3
+
+#: payload key of the log's column block (``bytes``)
+COLUMNS = "columns"
 
 #: counters that describe how a result was *obtained*, not what the
 #: simulation did — never persisted, always reassigned on restore.
@@ -64,120 +73,19 @@ _CACHE_COUNTERS = (
 )
 
 
-def _encode_log(log: FlowLog) -> Dict[str, object]:
-    return {
-        "data_packets": [
-            [
-                r.transmission_id,
-                r.seq,
-                r.send_time,
-                r.arrival_time,
-                r.dropped,
-                r.is_retransmission,
-                r.in_timeout_recovery,
-                r.subflow_id,
-            ]
-            for r in log.data_packets
-        ],
-        "acks": [
-            [
-                r.transmission_id,
-                r.ack_seq,
-                r.send_time,
-                r.arrival_time,
-                r.dropped,
-                r.is_duplicate,
-                r.subflow_id,
-            ]
-            for r in log.acks
-        ],
-        "timeouts": [
-            [r.time, r.seq, r.backoff_exponent, r.rto_value, r.sequence_index]
-            for r in log.timeouts
-        ],
-        "recovery_phases": [
-            [
-                r.start_time,
-                r.end_time,
-                r.timeouts,
-                r.retransmissions,
-                r.retransmissions_lost,
-            ]
-            for r in log.recovery_phases
-        ],
-        "cwnd_samples": [[s.time, s.cwnd, s.phase] for s in log.cwnd_samples],
-        "delivered_payloads": log.delivered_payloads,
-        "duplicate_payloads": log.duplicate_payloads,
-    }
+def column_block_size(payload: Dict[str, object]) -> int:
+    """Bytes of column block the payload's log counts describe.
 
-
-def _decode_log(data: Dict[str, object]) -> FlowLog:
-    log = FlowLog(
-        delivered_payloads=int(data["delivered_payloads"]),
-        duplicate_payloads=int(data["duplicate_payloads"]),
-    )
-    for row in data["data_packets"]:
-        log.record_data_send(
-            DataPacketRecord(
-                transmission_id=row[0],
-                seq=row[1],
-                send_time=row[2],
-                arrival_time=row[3],
-                dropped=row[4],
-                is_retransmission=row[5],
-                in_timeout_recovery=row[6],
-                subflow_id=row[7],
-            )
-        )
-    for row in data["acks"]:
-        log.record_ack_send(
-            AckRecord(
-                transmission_id=row[0],
-                ack_seq=row[1],
-                send_time=row[2],
-                arrival_time=row[3],
-                dropped=row[4],
-                is_duplicate=row[5],
-                subflow_id=row[6],
-            )
-        )
-    log.timeouts = [
-        TimeoutRecord(
-            time=row[0],
-            seq=row[1],
-            backoff_exponent=row[2],
-            rto_value=row[3],
-            sequence_index=row[4],
-        )
-        for row in data["timeouts"]
-    ]
-    log.recovery_phases = [
-        RecoveryPhaseRecord(
-            start_time=row[0],
-            end_time=row[1],
-            timeouts=row[2],
-            retransmissions=row[3],
-            retransmissions_lost=row[4],
-        )
-        for row in data["recovery_phases"]
-    ]
-    # Dedupe phase strings: a live run shares one str object per phase
-    # (the sender passes module constants), while json.loads builds a
-    # fresh str per sample.  Restoring the sharing keeps whole-log
-    # pickles byte-identical to fresh ones (pickle memoises by object
-    # identity, not value).
-    phases: Dict[str, str] = {}
-    log.cwnd_samples = [
-        CwndSample(
-            time=row[0], cwnd=row[1], phase=phases.setdefault(row[2], row[2])
-        )
-        for row in data["cwnd_samples"]
-    ]
-    return log
+    :class:`ValueError` when the payload carries no readable counts.
+    """
+    try:
+        return FlowLog.columns_size(payload["result"]["log"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"payload has no log column counts: {error!r}") from None
 
 
 def encode_outcome(outcome: FlowOutcome) -> Dict[str, object]:
-    """The JSON payload of one *successful* outcome.
+    """The payload of one *successful* outcome.
 
     Raises :class:`ValueError` for quarantined outcomes — failure is a
     thing to retry next run, not a thing to cache.
@@ -195,6 +103,7 @@ def encode_outcome(outcome: FlowOutcome) -> Dict[str, object]:
             for name, value in result.telemetry.as_dict().items()
             if name not in _CACHE_COUNTERS
         }
+    meta, block = result.log.to_columns()
     return {
         "flow_id": outcome.spec.flow_id,
         "attempts": outcome.attempts,
@@ -203,8 +112,9 @@ def encode_outcome(outcome: FlowOutcome) -> Dict[str, object]:
             "config": asdict(result.config),
             "duration": result.duration,
             "counters": counters,
-            "log": _encode_log(result.log),
+            "log": meta,
         },
+        COLUMNS: block,
     }
 
 
@@ -231,7 +141,7 @@ def decode_outcome(
         telemetry.cache_miss = 0
     result = FlowResult(
         config=ConnectionConfig(**result_data["config"]),
-        log=_decode_log(result_data["log"]),
+        log=FlowLog.from_columns(result_data["log"], payload.get(COLUMNS, b"")),
         duration=result_data["duration"],
         telemetry=telemetry,
     )

@@ -105,6 +105,10 @@ def canonical_encode(obj: object, path: str = "spec") -> object:
             str(key): canonical_encode(value, f"{path}[{key!r}]")
             for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))
         }
+    if isinstance(obj, bytes):
+        # e.g. a stored payload's log column block: its digest names
+        # the exact bytes without inlining them.
+        return {"__bytes__": hashlib.sha256(obj).hexdigest()}
     if isinstance(obj, random.Random):
         # The full Mersenne state is 625 ints; its repr digest captures
         # it exactly without bloating the canonical form.

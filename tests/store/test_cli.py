@@ -8,6 +8,7 @@ import pytest
 from repro.store import ResultStore
 from repro.store.cli import main
 from repro.store.format import SCHEMA_VERSION
+from tests.store.entries import schema2_entry
 
 KEY = "ab" + "0" * 62
 OTHER_KEY = "cd" + "1" * 62
@@ -32,6 +33,16 @@ class TestStats:
         data = json.loads(capsys.readouterr().out)
         assert data["entries"] == 1
         assert data["schema_version"] == SCHEMA_VERSION
+
+    def test_json_counts_schema2_entries_as_stale(self, store_dir, capsys):
+        path = ResultStore(store_dir).path_for(OTHER_KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(schema2_entry(OTHER_KEY))
+        assert main(["stats", store_dir, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["schemas"] == {"2": 1, str(SCHEMA_VERSION): 1}
+        assert data["stale_entries"] == 1
+        assert data["quarantined"] == 0
 
 
 class TestVerify:

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.store import CorruptEntryError, ResultStore
-from repro.store.format import SCHEMA_VERSION
+from repro.store.format import COLUMNS, SCHEMA_VERSION
+from tests.store.entries import column_payload, schema2_entry, truncate_block
 
 KEY = "ab" + "0" * 62
 OTHER_KEY = "cd" + "1" * 62
@@ -148,3 +149,43 @@ class TestSchemaAndGc:
         assert stats.total_bytes > 0
         assert stats.to_dict()["schema_version"] == SCHEMA_VERSION
         assert "2 entries" in stats.summary()
+
+
+class TestColumnEntries:
+    def test_column_payload_round_trips(self, store):
+        payload = column_payload()
+        store.put(KEY, payload)
+        assert store.load(KEY) == payload
+
+    def test_block_follows_the_json_line_verbatim(self, store):
+        payload = column_payload()
+        path = store.put(KEY, payload)
+        _, body = gzip.decompress(path.read_bytes()).split(b"\n", 1)
+        line, block = body.split(b"\n", 1)
+        assert block == payload[COLUMNS]
+        assert b'"columns":' not in line
+
+    def test_schema2_entry_is_a_stale_miss(self, store):
+        path = store.path_for(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(schema2_entry(KEY))
+        assert store.get(KEY) == (None, False)  # not corrupt
+        assert path.exists()  # not quarantined
+        assert store.stats().stale_entries == 1
+        assert store.stats().quarantined == 0
+        assert store.gc() == (0, 1)
+        assert not path.exists()
+
+    def test_truncated_block_under_recomputed_digest_is_corrupt(self, store):
+        path = store.put(KEY, column_payload())
+        path.write_bytes(truncate_block(path.read_bytes()))
+        with pytest.raises(CorruptEntryError, match="column block"):
+            store.load(KEY)
+        assert store.get(KEY) == (None, True)
+        assert (store.root / "quarantine" / path.name).exists()
+
+    def test_block_without_counts_is_corrupt(self, store):
+        path = store.put(KEY, {**PAYLOAD, COLUMNS: b"\x00" * 17})
+        with pytest.raises(CorruptEntryError, match="counts"):
+            store.load(KEY)
+        assert path.exists()

@@ -22,6 +22,7 @@ from repro.store import (
     open_store,
 )
 from repro.store.disk import encode_entry
+from tests.store.entries import column_payload, truncate_block
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
@@ -119,6 +120,27 @@ class TestIntegrity:
             assert response.status == 404
         finally:
             conn.close()
+
+
+    def test_column_entry_put_is_verified_server_side(self, server):
+        payload = column_payload()
+        RemoteStore(server.url).put(KEY, payload)
+        assert server.store.load(KEY) == payload
+        # the same entry one block byte short, digest recomputed: the
+        # server's length check refuses it
+        raw = truncate_block(encode_entry(OTHER, payload))
+        conn = http.client.HTTPConnection(
+            *server.url.removeprefix("http://").split(":"), timeout=5.0
+        )
+        try:
+            conn.request("PUT", f"/entry/{OTHER}", body=raw)
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert b"column block" in body
+        assert server.store.read_bytes(OTHER) is None
 
 
 class TestFailureDegradation:
