@@ -18,9 +18,6 @@ Tuning params travel on :attr:`repro.exec.FlowSpec.cc_params` and are
 hashed into the flow's content key, so a store-backed campaign caches
 each tuning point separately.  ``python -m repro.cc list|show NAME``
 prints the zoo from the command line.
-
-The old import path :mod:`repro.simulator.cc` still works behind a
-warn-once deprecation shim; new code should import from here.
 """
 
 from repro.cc.info import (

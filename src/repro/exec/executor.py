@@ -8,16 +8,16 @@ reseeded attempts, quarantine on exhaustion), and assembles a
 so a 4-worker run produces the same traces and the same report bytes as
 a serial run of the same batch.
 
-Backends:
+Backends name an execution mode; every batch runs through
+:class:`~repro.exec.supervise.SupervisedBackend`, which owns the one
+pool loop (crash recovery, deadlines, signal drain):
 
-* :class:`SerialBackend` — a list comprehension; zero overhead, the
+* :class:`SerialBackend` — in the calling process, in order; the
   default.
 * :class:`ProcessPoolBackend` — a spawn-context process pool.  Specs
   are self-contained and picklable, and every random stream is derived
   from the spec's own seed, so moving a flow to another process cannot
-  change its bytes.  Payloads are submitted in chunks so a batch of
-  hundreds of specs costs a handful of pickling round-trips per worker
-  rather than one per spec.
+  change its bytes.
 * :class:`AutoBackend` — runs a short serial probe, projects the cost
   of finishing serially vs paying the pool's spawn overhead, and picks
   whichever is faster.  Because the probe's results are kept and order
@@ -35,10 +35,7 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -58,8 +55,7 @@ from repro.robustness.campaign import (
     RetryPolicy,
 )
 from repro.robustness.watchdog import current_watchdog
-from repro.simulator.connection import FlowHarness, FlowResult, run_flow
-from repro.simulator.lockstep import run_lockstep
+from repro.simulator.connection import FlowResult, run_flow
 from repro.simulator.metrics import FlowLog
 from repro.telemetry.campaign import CampaignTelemetry
 from repro.telemetry.counters import CountingTelemetry
@@ -77,7 +73,6 @@ __all__ = [
     "ExecutionResult",
     "Executor",
     "FlowOutcome",
-    "LockstepBackend",
     "ProcessPoolBackend",
     "SerialBackend",
     "simulate_spec",
@@ -312,15 +307,27 @@ class SerialBackend:
         return results
 
 
+def _supervised_map(backend, fn: Callable, items: Sequence, progress) -> List:
+    """Run ``backend``'s batch through the supervision layer, which owns
+    the only pool loop (imported lazily: supervise imports this module)."""
+    from repro.exec.supervise import SupervisedBackend, current_supervisor_policy
+
+    return SupervisedBackend(backend, policy=current_supervisor_policy()).map(
+        fn, items, progress
+    )
+
+
 class ProcessPoolBackend:
     """Run payloads across ``workers`` spawned processes.
 
-    The spawn start method is used unconditionally (fork would share
-    lazily-initialised interpreter state and is unavailable on some
-    platforms); payloads are submitted in chunks so pickling overhead
-    is amortised over many specs per round-trip.  Order is preserved —
-    ``pool.map`` yields results in submission order — which is what
-    makes parallel reports byte-identical to serial ones.
+    The pool itself lives in
+    :class:`~repro.exec.supervise.SupervisedBackend`: this backend only
+    names the worker count, and :meth:`map` runs the batch through the
+    supervisor, so a bare call gets the same crash recovery, deadlines
+    and signal drain as an :class:`Executor` run.  Specs are
+    self-contained and picklable and every outcome is filed at its
+    payload position, which is what makes parallel reports
+    byte-identical to serial ones.
 
     ``workers`` defaults to ``os.cpu_count()``: spawning more workers
     than cores is pure oversubscription for this CPU-bound workload
@@ -345,184 +352,7 @@ class ProcessPoolBackend:
         items: Sequence,
         progress: Optional[Callable[[int], None]] = None,
     ) -> List:
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1:
-            return SerialBackend().map(fn, items, progress)
-        chunksize = max(1, len(items) // (self.workers * 4))
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.workers, len(items)),
-            mp_context=get_context("spawn"),
-        )
-        # Not a ``with`` block: __exit__ is shutdown(wait=True), which
-        # on KeyboardInterrupt would block on in-flight futures and
-        # leave pending ones queued — orphaning spawn workers past the
-        # parent's death.  Cancelling in a finally tears down promptly
-        # on *any* exit; ``completed`` keeps the happy path's clean
-        # blocking join.
-        completed = False
-        try:
-            # pool.map yields in submission order, so incremental
-            # progress is monotone even when workers finish out of order.
-            results = []
-            for result in pool.map(fn, items, chunksize=chunksize):
-                results.append(result)
-                if progress is not None:
-                    progress(len(results))
-            completed = True
-            return results
-        finally:
-            pool.shutdown(wait=completed, cancel_futures=True)
-
-
-class LockstepBackend:
-    """Run FlowSpec batches as shared-wheel lockstep groups.
-
-    Instead of one ``Simulator`` per flow, eligible specs are grouped
-    by their effective duration and each group is wired — via
-    :class:`~repro.simulator.connection.FlowHarness` — onto **one**
-    shared simulator that :func:`~repro.simulator.lockstep.run_lockstep`
-    advances in a single event loop.  Flows share no state, so every
-    :class:`FlowOutcome` is byte-identical to a serial run of the same
-    batch; what changes is wall-clock (one heap, one run loop, no
-    per-flow setup/teardown) and that it needs no worker processes.
-
-    A spec is eligible when nothing about it is a per-simulator
-    concern: no per-spec watchdog, no telemetry collection, and no
-    ambient watchdog installed at map time (budgets and counters
-    cannot be attributed to one flow of a shared wheel).  Ineligible
-    specs — and any group that raises — fall back to the ordinary
-    per-item attempt loop, so semantics (retries, quarantine,
-    deterministic-failure taxonomy) are never weakened, only the
-    happy path is batched.
-    """
-
-    name = "lockstep"
-
-    #: flows wired onto one shared simulator per run.  Bounds the heap
-    #: (every flow's pending timers and tombstones share it), keeps the
-    #: group's working set cache-resident, and keeps a mid-group
-    #: failure's recompute cost proportionate — measured on a 51-flow
-    #: campaign, per-flow cost rises monotonically with group size, so
-    #: small groups are the right default.
-    GROUP_SIZE = 16
-
-    def __init__(self, group_size: Optional[int] = None) -> None:
-        size = self.GROUP_SIZE if group_size is None else group_size
-        if size < 1:
-            raise ConfigurationError(f"group_size must be >= 1, got {size}")
-        self.group_size = size
-
-    @staticmethod
-    def eligible(spec: FlowSpec) -> bool:
-        """Whether this spec can share a simulator with other flows."""
-        return spec.watchdog is None and not spec.telemetry
-
-    def plan(
-        self, fn: Callable, items: Sequence
-    ) -> Optional[Tuple[List[List[int]], List[int]]]:
-        """``(group_chunks, singles)`` over payload positions, or None.
-
-        None means lockstep does not apply to this map at all (not the
-        executor's payload protocol, or an ambient watchdog is
-        installed); the caller should run the batch as serial.  Group
-        chunks hold positions of eligible specs, grouped by effective
-        duration in first-seen order and split at :attr:`group_size`;
-        ``singles`` holds the ineligible positions, run per-item.
-        """
-        if fn is not _execute_payload or not items:
-            return None
-        if current_watchdog() is not None:
-            return None
-        by_duration: dict = {}
-        singles: List[int] = []
-        for position, payload in enumerate(items):
-            spec = payload[1]
-            if self.eligible(spec):
-                by_duration.setdefault(spec.effective_duration, []).append(position)
-            else:
-                singles.append(position)
-        chunks: List[List[int]] = []
-        for positions in by_duration.values():
-            for start in range(0, len(positions), self.group_size):
-                chunks.append(positions[start : start + self.group_size])
-        return chunks, singles
-
-    def run_group(self, fn: Callable, payloads: Sequence[Tuple]) -> List[FlowOutcome]:
-        """One lockstep group, falling back to per-item on any failure.
-
-        A failure anywhere in the group — a bad spec at resolve time,
-        an exception from a flow callback mid-run — discards the whole
-        shared simulator (partial per-flow state must never leak into
-        results) and re-runs every payload through ``fn``, which is the
-        full attempt loop: the failing spec gets its proper retries and
-        quarantine, its groupmates recompute fresh and byte-identically.
-        """
-        try:
-            return self._lockstep_group(payloads)
-        except Exception:
-            return [fn(payload) for payload in payloads]
-
-    @staticmethod
-    def _lockstep_group(payloads: Sequence[Tuple]) -> List[FlowOutcome]:
-        duration = payloads[0][1].effective_duration
-        setups = []
-        for _index, spec, _policy in payloads:
-            resolved = spec.resolve()
-
-            def setup(sim, spec=spec, resolved=resolved):
-                return FlowHarness(
-                    resolved.config,
-                    simulator=sim,
-                    data_loss=resolved.data_loss,
-                    ack_loss=resolved.ack_loss,
-                    seed=spec.seed,
-                    redundant_data_loss=resolved.redundant_data_loss,
-                    variant=spec.cc,
-                    cc_params=spec.cc_params,
-                    bottleneck_rate=spec.bottleneck_rate,
-                    bottleneck_buffer=spec.bottleneck_buffer,
-                )
-
-            setups.append(setup)
-        flow_results = run_lockstep(setups, duration)
-        outcomes: List[FlowOutcome] = []
-        for (index, spec, _policy), result in zip(payloads, flow_results):
-            trace: Optional["FlowTrace"] = None
-            if spec.metadata is not None:
-                from repro.traces.capture import capture_flow
-
-                trace = capture_flow(result, spec.metadata, validate=spec.validate)
-            outcomes.append(
-                FlowOutcome(index=index, spec=spec, result=result, trace=trace)
-            )
-        return outcomes
-
-    def map(
-        self,
-        fn: Callable,
-        items: Sequence,
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> List:
-        items = list(items)
-        plan = self.plan(fn, items)
-        if plan is None:
-            return SerialBackend().map(fn, items, progress)
-        chunks, singles = plan
-        results: List = [None] * len(items)
-        done = 0
-        for chunk in chunks:
-            outcomes = self.run_group(fn, [items[position] for position in chunk])
-            for position, outcome in zip(chunk, outcomes):
-                results[position] = outcome
-            done += len(chunk)
-            if progress is not None:
-                progress(done)
-        for position in singles:
-            results[position] = fn(items[position])
-            done += 1
-            if progress is not None:
-                progress(done)
-        return results
+        return _supervised_map(self, fn, items, progress)
 
 
 class AutoBackend:
@@ -546,153 +376,30 @@ class AutoBackend:
 
     #: payloads run serially to estimate per-item cost
     PROBE_ITEMS = 2
-    #: payloads run as one shared-wheel group to pace lockstep
-    LOCKSTEP_PROBE_ITEMS = 4
-    #: smallest homogeneous batch worth considering a shared event wheel
-    LOCKSTEP_MIN_ITEMS = 8
     #: flat cost of standing up a spawn pool (interpreter + imports)
     SPAWN_BASELINE_S = 0.8
     #: additional cost per spawned worker
     SPAWN_PER_WORKER_S = 0.4
 
-    def __init__(
-        self, workers: Optional[int] = None, clock: Optional[Callable] = None
-    ) -> None:
-        cpus = os.cpu_count() or 1
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is None:
-            workers = cpus
+            workers = os.cpu_count() or 1
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.last_decision: Optional[dict] = None
-        #: measured rates from the latest lockstep race, folded into
-        #: whichever decision record is written afterwards
-        self._probe_rates: dict = {}
-        #: timing source for the probes; injectable so tests can force
-        #: either side of a timing-based decision deterministically
-        self._clock = clock if clock is not None else time.perf_counter
-
-    def lockstep_candidate(
-        self, fn: Callable, items: Sequence
-    ) -> Optional["LockstepBackend"]:
-        """A :class:`LockstepBackend` when the batch *could* run
-        lockstep — one homogeneous workload, every payload eligible,
-        one shared duration; None otherwise.
-
-        This is the static half of the decision.  Whether lockstep is
-        actually *used* is measured, not assumed: the caller races the
-        first payloads serial-vs-shared-wheel (keeping both sets of
-        results — payloads are pure, so nothing is wasted) and commits
-        the remainder to whichever paced faster via
-        :meth:`decide_lockstep`.  A mixed batch returns None because it
-        would run part lockstep, part serial, and the serial-vs-pool
-        projection handles that case better.
-        """
-        if len(items) < self.LOCKSTEP_MIN_ITEMS:
-            return None
-        backend = LockstepBackend()
-        plan = backend.plan(fn, items)
-        if plan is None:
-            return None
-        chunks, singles = plan
-        if singles:
-            return None
-        durations = {items[chunk[0]][1].effective_duration for chunk in chunks}
-        if len(durations) != 1:
-            return None
-        return backend
-
-    def decide_lockstep(
-        self, serial_rate: float, lockstep_rate: float, total_items: int
-    ) -> bool:
-        """Commit to lockstep iff its measured per-flow pace beat serial.
-
-        On a host where the shared heap's log factor and cache
-        pressure eat the amortised per-flow setup — typical for
-        CPython on one CPU — this keeps auto on the serial path,
-        preserving its never-worse-than-serial contract.  Records the
-        decision (with both measured rates) on :attr:`last_decision`;
-        a False return leaves the final mode to the serial-vs-pool
-        projection, which folds the rates into its own record.
-        """
-        self._probe_rates = {
-            "serial_probe_s_per_flow": round(serial_rate, 6),
-            "lockstep_probe_s_per_flow": round(lockstep_rate, 6),
-        }
-        if lockstep_rate >= serial_rate:
-            return False
-        self.last_decision = {
-            "mode": "lockstep",
-            "reason": (
-                f"homogeneous batch of {total_items} eligible flows; probe "
-                f"{lockstep_rate:.4f}s/flow beat serial "
-                f"{serial_rate:.4f}s/flow on a shared event wheel"
-            ),
-            "items": total_items,
-            "cpu_count": os.cpu_count() or 1,
-            "workers": 1,
-            **self._probe_rates,
-        }
-        return True
-
-    def project_pool(
-        self, per_item_s: float, remainder: int, total_items: int
-    ) -> Tuple[bool, int]:
-        """(use_pool, workers) for ``remainder`` items from a measured
-        serial rate — the same projection :meth:`probe` applies, reused
-        when the rate is already known (the lockstep race measured it)
-        so no extra payloads need to run.  Records the decision.
-        """
-        cpus = os.cpu_count() or 1
-        effective = min(self.workers, cpus, max(remainder, 1))
-        rates = getattr(self, "_probe_rates", {})
-        if effective < 2 or remainder < 2:
-            self.last_decision = {
-                "mode": "serial",
-                "reason": "single CPU or batch too small to amortise a pool",
-                "items": total_items,
-                "cpu_count": cpus,
-                "workers": effective,
-                **rates,
-            }
-            return False, 1
-        serial_estimate_s = per_item_s * remainder
-        pool_overhead_s = self.SPAWN_BASELINE_S + self.SPAWN_PER_WORKER_S * effective
-        pool_estimate_s = pool_overhead_s + serial_estimate_s / effective
-        use_pool = pool_estimate_s < serial_estimate_s
-        self.last_decision = {
-            "mode": "pool" if use_pool else "serial",
-            "reason": (
-                f"measured {per_item_s:.4f}s/item: projected serial "
-                f"{serial_estimate_s:.3f}s vs pool {pool_estimate_s:.3f}s "
-                f"({effective} workers)"
-            ),
-            "items": total_items,
-            "cpu_count": cpus,
-            "workers": effective,
-            "projected_serial_s": round(serial_estimate_s, 6),
-            "projected_pool_s": round(pool_estimate_s, 6),
-            **rates,
-        }
-        return use_pool, effective
 
     def probe(
-        self,
-        fn: Callable,
-        items: Sequence,
-        runner: Optional[Callable] = None,
-    ) -> Tuple[List, bool, int]:
-        """Run the serial probe and decide; ``(head, use_pool, workers)``.
+        self, items: Sequence, runner: Callable[[object, int], object]
+    ) -> Tuple[bool, int]:
+        """Run the serial probe and decide; ``(use_pool, workers)``.
 
-        ``head`` holds the probe items' results (already executed, to
-        be kept by the caller); the remainder of ``items`` is the
-        caller's to run — pooled over ``workers`` when ``use_pool``.
-        ``runner(item, position)`` overrides how each probe item is
-        executed, so a supervising wrapper can keep its own bookkeeping
-        while the timing and projection logic stay here; the decision
-        lands on :attr:`last_decision` either way.
+        ``runner(item, position)`` executes each probe item and keeps
+        its result (the supervisor files it like any other outcome);
+        the remainder of ``items`` is the caller's to run — pooled over
+        ``workers`` when ``use_pool``.  The decision lands on
+        :attr:`last_decision`.
         """
-        items = list(items)
         cpus = os.cpu_count() or 1
         remainder = len(items) - self.PROBE_ITEMS
         effective = min(self.workers, cpus, max(remainder, 1))
@@ -706,15 +413,11 @@ class AutoBackend:
                 "cpu_count": cpus,
                 "workers": effective,
             }
-            return [], False, 1
+            return False, 1
 
         start = time.perf_counter()
-        head = []
         for position, item in enumerate(items[: self.PROBE_ITEMS]):
-            if runner is None:
-                head.append(fn(item))
-            else:
-                head.append(runner(item, position))
+            runner(item, position)
         probe_s = time.perf_counter() - start
         per_item_s = probe_s / self.PROBE_ITEMS
         serial_estimate_s = per_item_s * remainder
@@ -735,63 +438,7 @@ class AutoBackend:
             "projected_serial_s": round(serial_estimate_s, 6),
             "projected_pool_s": round(pool_estimate_s, 6),
         }
-        return head, use_pool, effective
-
-    def _map_racing_lockstep(
-        self,
-        backend: "LockstepBackend",
-        fn: Callable,
-        items: Sequence,
-        progress: Optional[Callable[[int], None]],
-    ) -> List:
-        """Race serial vs shared-wheel over the head of the batch, keep
-        every result, and commit the tail to the winner (or to the
-        pool, when the measured serial rate projects one to pay off).
-        """
-        clock = self._clock
-        results: List = [None] * len(items)
-        done = 0
-        start = clock()
-        for position in range(self.PROBE_ITEMS):
-            results[position] = fn(items[position])
-            done += 1
-            if progress is not None:
-                progress(done)
-        serial_s = clock() - start
-        group_positions = list(
-            range(self.PROBE_ITEMS, self.PROBE_ITEMS + self.LOCKSTEP_PROBE_ITEMS)
-        )
-        start = clock()
-        outcomes = backend.run_group(
-            fn, [items[position] for position in group_positions]
-        )
-        lockstep_s = clock() - start
-        for position, outcome in zip(group_positions, outcomes):
-            results[position] = outcome
-            done += 1
-            if progress is not None:
-                progress(done)
-        head = self.PROBE_ITEMS + self.LOCKSTEP_PROBE_ITEMS
-        tail_items = items[head:]
-        serial_rate = serial_s / self.PROBE_ITEMS
-        lockstep_rate = lockstep_s / len(group_positions)
-        tail_progress = (
-            None if progress is None else (lambda n: progress(head + n))
-        )
-        if self.decide_lockstep(serial_rate, lockstep_rate, len(items)):
-            tail = backend.map(fn, tail_items, tail_progress)
-        else:
-            use_pool, workers = self.project_pool(
-                serial_rate, len(tail_items), len(items)
-            )
-            if use_pool:
-                tail = ProcessPoolBackend(workers).map(
-                    fn, tail_items, tail_progress
-                )
-            else:
-                tail = SerialBackend().map(fn, tail_items, tail_progress)
-        results[head:] = tail
-        return results
+        return use_pool, effective
 
     def map(
         self,
@@ -799,31 +446,7 @@ class AutoBackend:
         items: Sequence,
         progress: Optional[Callable[[int], None]] = None,
     ) -> List:
-        items = list(items)
-        candidate = self.lockstep_candidate(fn, items)
-        if candidate is not None:
-            return self._map_racing_lockstep(candidate, fn, items, progress)
-
-        def probe_runner(item, position):
-            result = fn(item)
-            if progress is not None:
-                progress(position + 1)
-            return result
-
-        head, use_pool, workers = self.probe(fn, items, runner=probe_runner)
-        tail_items = items[len(head) :]
-        if not tail_items:
-            return head
-        tail_progress = (
-            None
-            if progress is None
-            else (lambda done: progress(done + len(head)))
-        )
-        if use_pool:
-            tail = ProcessPoolBackend(workers).map(fn, tail_items, tail_progress)
-        else:
-            tail = SerialBackend().map(fn, tail_items, tail_progress)
-        return head + tail
+        return _supervised_map(self, fn, items, progress)
 
 
 @dataclass
@@ -850,17 +473,11 @@ class ExecutionResult:
         return [outcome.result for outcome in self.outcomes]
 
 
-#: one positional-Executor deprecation warning per process, not per call
-_POSITIONAL_WARNED = False
-
-
 class Executor:
     """Runs FlowSpec batches with retries, quarantine, and a report.
 
     Configuration is keyword-only: ``Executor(backend=...,
-    retry_policy=..., telemetry=...)``.  Positional arguments are
-    deprecated (they warn once per process) but still map to
-    ``backend``/``retry_policy`` so existing callers keep working.
+    retry_policy=..., telemetry=...)``.
 
     ``telemetry`` controls campaign counter collection: ``True`` bakes
     collection into every spec, ``False`` disables it, and the default
@@ -871,31 +488,11 @@ class Executor:
 
     def __init__(
         self,
-        *args: object,
+        *,
         backend: Optional[object] = None,
         retry_policy: Optional[RetryPolicy] = None,
         telemetry: Optional[bool] = None,
     ) -> None:
-        if args:
-            global _POSITIONAL_WARNED
-            if len(args) > 2 or (len(args) >= 1 and backend is not None) or (
-                len(args) == 2 and retry_policy is not None
-            ):
-                raise TypeError(
-                    "Executor takes at most (backend, retry_policy) "
-                    "positionally, each given at most once"
-                )
-            if not _POSITIONAL_WARNED:
-                _POSITIONAL_WARNED = True
-                warnings.warn(
-                    "positional Executor arguments are deprecated; use "
-                    "Executor(backend=..., retry_policy=...)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            backend = args[0]
-            if len(args) == 2:
-                retry_policy = args[1]  # type: ignore[assignment]
         self.backend = backend if backend is not None else SerialBackend()
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
@@ -912,9 +509,7 @@ class Executor:
         """Serial for ``workers <= 1``, a spawn pool otherwise.
 
         The string ``"auto"`` selects :class:`AutoBackend`, which
-        probes the batch and picks lockstep vs serial vs pool per
-        call; ``"lockstep"`` forces :class:`LockstepBackend` (shared
-        event wheel for eligible specs, serial fallback otherwise);
+        probes the batch and picks serial vs pool per call;
         ``"fabric"`` runs the batch on the distributed campaign fabric
         (:class:`~repro.fabric.FabricBackend` — a lease coordinator
         plus worker processes, configured by the ambient
@@ -923,12 +518,6 @@ class Executor:
         if workers == "auto":
             return cls(
                 backend=AutoBackend(), retry_policy=retry_policy, telemetry=telemetry
-            )
-        if workers == "lockstep":
-            return cls(
-                backend=LockstepBackend(),
-                retry_policy=retry_policy,
-                telemetry=telemetry,
             )
         if workers == "fabric":
             # Imported lazily: repro.fabric sits above the executor in
@@ -942,8 +531,7 @@ class Executor:
             )
         if isinstance(workers, str):
             raise ConfigurationError(
-                f"workers must be an integer, 'auto', 'lockstep', or "
-                f"'fabric', got {workers!r}"
+                f"workers must be an integer, 'auto', or 'fabric', got {workers!r}"
             )
         if workers <= 1:
             return cls(

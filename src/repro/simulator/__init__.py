@@ -24,8 +24,6 @@ Typical use::
     print(result.throughput, result.log.ack_loss_rate)
 """
 
-# Registry functions live in repro.cc; importing them from there (not
-# the repro.simulator.cc shim) keeps package import deprecation-silent.
 from repro.cc import (
     cc_names,
     get_cc,
@@ -55,7 +53,6 @@ from repro.simulator.connection import (
 )
 from repro.simulator.cubic import CubicSender
 from repro.simulator.engine import EventHandle, Simulator
-from repro.simulator.lockstep import run_lockstep
 from repro.simulator.metrics import (
     AckRecord,
     CwndSample,
@@ -116,6 +113,5 @@ __all__ = [
     "run_backup",
     "run_duplex",
     "run_flow",
-    "run_lockstep",
     "unregister_cc",
 ]

@@ -151,12 +151,11 @@ def _jitter_fn(rng: Optional[RngStream], sigma: float) -> Optional[Callable[[], 
 class FlowHarness:
     """One fully wired TCP flow on a (possibly shared) simulator.
 
-    Extracts the wiring half of :func:`run_flow` so other drivers —
-    the lockstep campaign engine (:mod:`repro.simulator.lockstep`)
-    builds many harnesses on one shared event wheel — can construct
-    flows without re-running them one ``Simulator.run`` at a time.
-    Construction wires everything and calls ``sender.start()``; the
-    caller owns advancing the simulator and harvesting :meth:`result`.
+    The wiring half of :func:`run_flow`, split out so a caller can
+    construct a flow, advance the simulator itself, and inspect the
+    in-flight log before harvesting :meth:`result`.  Construction wires
+    everything and calls ``sender.start()``; the caller owns advancing
+    the simulator and harvesting :meth:`result`.
 
     Each harness owns a private :class:`PacketPool` shared by its
     sender, receiver, and links, so steady-state rounds allocate no

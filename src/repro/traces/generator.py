@@ -234,10 +234,9 @@ def generate_dataset(
     ``flow_scale`` multiplies each cell's flow count (minimum 1 per
     cell) so tests and benchmarks can run a miniature campaign with the
     same structure.  ``workers`` > 1 fans the flows out over a process
-    pool, ``workers="lockstep"`` runs eligible flows on one shared
-    event wheel in-process, and ``workers="auto"`` probes the batch
-    and picks a mode itself — the resulting traces and report are
-    byte-identical to a serial run in every mode.
+    pool and ``workers="auto"`` probes the batch and picks serial or
+    pool itself — the resulting traces and report are byte-identical
+    to a serial run in every mode.
 
     The campaign is fault-tolerant: per-flow failures (including
     watchdog budget trips and traces rejected by ``validate``) are

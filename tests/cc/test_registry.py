@@ -1,7 +1,6 @@
 """Tests for the public repro.cc registry: CCInfo, describe_cc, params."""
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -175,33 +174,3 @@ class TestMakeSenderParams:
             make_sender(
                 "reno", "sim", "link", "log", cc_params=CubicParams()
             )
-
-
-class TestDeprecationShim:
-    def test_old_path_forwards_and_warns_once(self):
-        import repro.simulator.cc as shim
-
-        shim._warned = False  # the warning is once-per-process
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            names = shim.cc_names()
-            shim.get_cc("reno")
-        assert names == cc_names()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.cc" in str(deprecations[0].message)
-
-    def test_shim_surface_matches_old_exports(self):
-        import repro.simulator.cc as shim
-
-        shim._warned = True  # don't pollute other tests' warning state
-        assert shim.CC_REGISTRY_VERSION == CC_REGISTRY_VERSION
-        assert set(shim.__all__) <= set(dir(shim))
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.simulator.cc as shim
-
-        with pytest.raises(AttributeError):
-            shim.no_such_name

@@ -159,8 +159,9 @@ class TestAutoBackend:
         assert isinstance(Executor.for_workers("auto").backend, AutoBackend)
 
     def test_for_workers_rejects_other_strings(self):
-        with pytest.raises(ConfigurationError):
-            Executor.for_workers("turbo")
+        for workers in ("turbo", "lockstep", "warp-speed"):
+            with pytest.raises(ConfigurationError):
+                Executor.for_workers(workers)
 
     def test_rejects_nonpositive_workers(self):
         from repro.exec import AutoBackend

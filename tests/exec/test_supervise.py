@@ -1,6 +1,7 @@
 """Unit tests for the supervision layer: policy, taxonomy, drain, wrap."""
 
 import os
+import pickle
 import signal
 
 import pytest
@@ -37,6 +38,14 @@ def spec(seed=0, flow_id="flow", **overrides) -> FlowSpec:
 def payloads(n, policy=None):
     policy = policy if policy is not None else RetryPolicy()
     return [(i, spec(seed=20 + i, flow_id=f"s/{i}"), policy) for i in range(n)]
+
+
+def _die_on_s1(payload):
+    # Module-level so the spawn pool can pickle it: the worker that
+    # runs flow ``s/1`` dies the way a segfault would, every time.
+    if payload[1].flow_id == "s/1":
+        os._exit(71)
+    return _execute_payload(payload)
 
 
 class TestSupervisorPolicy:
@@ -165,6 +174,23 @@ class TestSupervisedBackendPooled:
             assert a.result.throughput == b.result.throughput
             assert a.result.log.data_sent == b.result.log.data_sent
             assert a.failures == b.failures
+
+    def test_bare_pool_map_survives_a_worker_crash(self):
+        # ProcessPoolBackend.map runs through the supervisor, so a dead
+        # worker costs one flow, not the batch: the killer is isolated
+        # and quarantined (no retry budget), the rest match serial.
+        batch = payloads(4, RetryPolicy(max_retries=0))
+        serial = SerialBackend().map(_execute_payload, batch)
+        outcomes = ProcessPoolBackend(2).map(_die_on_s1, batch)
+        assert [o.spec.flow_id for o in outcomes] == [f"s/{i}" for i in range(4)]
+        crashes = [
+            f for o in outcomes for f in o.failures
+            if f.failure_class == "worker_crash"
+        ]
+        assert [f.flow_id for f in crashes] == ["s/1"]
+        assert outcomes[1].quarantine is not None
+        for index in (0, 2, 3):
+            assert pickle.dumps(outcomes[index]) == pickle.dumps(serial[index])
 
     def test_deadline_forces_pool_even_for_serial_inner(self):
         # a 1-worker pool is stood up so preemption has a process to

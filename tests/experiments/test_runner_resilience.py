@@ -1,5 +1,7 @@
 """CLI resilience: `all` survives failing experiments; watchdog flags plumb."""
 
+import argparse
+
 import pytest
 
 import repro.experiments.runner as runner_module
@@ -83,6 +85,18 @@ class TestAllCommandResilience:
     def test_run_failure_exits_one(self, fake_registry, capsys):
         assert main(["run", "broken"]) == 1
         assert "FAILED broken" in capsys.readouterr().err
+
+
+class TestWorkersArg:
+    def test_accepted_values(self):
+        assert runner_module._workers_arg("auto") == "auto"
+        assert runner_module._workers_arg("fabric") == "fabric"
+        assert runner_module._workers_arg("3") == 3
+
+    def test_rejects_other_strings(self):
+        for value in ("turbo", "lockstep", "warp-speed"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                runner_module._workers_arg(value)
 
 
 class TestWatchdogFlags:

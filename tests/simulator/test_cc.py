@@ -1,25 +1,17 @@
-"""Unit tests for the congestion-control registry (legacy import path).
+"""Unit tests for the congestion-control registry's core functions.
 
-The registry now lives in :mod:`repro.cc`; this module keeps exercising
-it through the deprecated :mod:`repro.simulator.cc` shim so the
-back-compat surface stays covered.  The new-API tests live in
-``tests/cc/``.
+The metadata, params and CLI tests live in ``tests/cc/``.
 """
-
-import warnings
 
 import pytest
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro.simulator.cc import (
-        cc_names,
-        get_cc,
-        make_sender,
-        register_cc,
-        unregister_cc,
-    )
-
+from repro.cc import (
+    cc_names,
+    get_cc,
+    make_sender,
+    register_cc,
+    unregister_cc,
+)
 from repro.simulator.newreno import NewRenoSender
 from repro.simulator.reno import RenoSender
 from repro.util.errors import ConfigurationError

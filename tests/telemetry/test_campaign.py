@@ -157,27 +157,10 @@ class TestCampaignTelemetryValue:
 
 
 class TestExecutorDeprecation:
-    def test_positional_backend_warns_once_and_works(self):
-        import warnings
-
-        import repro.exec.executor as executor_module
-
-        executor_module._POSITIONAL_WARNED = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = Executor(SerialBackend())
-                Executor(SerialBackend())
-            deprecations = [
-                warning
-                for warning in caught
-                if issubclass(warning.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            assert isinstance(first.backend, SerialBackend)
-        finally:
-            executor_module._POSITIONAL_WARNED = False
-
     def test_double_backend_raises(self):
+        # Configuration is keyword-only: any positional argument raises.
+        for args in ((SerialBackend(),), (SerialBackend(), None)):
+            with pytest.raises(TypeError):
+                Executor(*args)
         with pytest.raises(TypeError):
             Executor(SerialBackend(), backend=SerialBackend())

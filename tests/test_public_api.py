@@ -91,7 +91,6 @@ API_SNAPSHOT = {
         "Executor",
         "FlowOutcome",
         "FlowSpec",
-        "LockstepBackend",
         "ProcessPoolBackend",
         "ResolvedFlow",
         "SerialBackend",
@@ -162,7 +161,6 @@ API_SNAPSHOT = {
         "run_backup",
         "run_duplex",
         "run_flow",
-        "run_lockstep",
         "unregister_cc",
     ],
     "repro.robustness": [
