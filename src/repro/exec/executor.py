@@ -56,7 +56,6 @@ from repro.robustness.campaign import (
 )
 from repro.robustness.watchdog import current_watchdog
 from repro.simulator.connection import FlowResult, run_flow
-from repro.simulator.metrics import FlowLog
 from repro.telemetry.campaign import CampaignTelemetry
 from repro.telemetry.counters import CountingTelemetry
 from repro.telemetry.progress import ProgressReporter
@@ -136,30 +135,27 @@ class FlowOutcome:
         return self.quarantine is None
 
     def __reduce__(self):
-        # Across a process boundary the log travels as its columns
-        # (FlowLog.to_columns): a fraction of the record-by-record
-        # pickle's bytes and time.  A trace captured from the log shares
-        # its record lists, so only its metadata travels and the trace
-        # is re-captured from the restored log, as a store hit does.
-        result, trace = self.result, self.trace
-        shipped = metadata = None
-        if result is not None:
-            log = result.log
-            shipped = (result.config, log.to_columns(), result.duration, result.telemetry)
-            if (
-                trace is not None
-                and trace.data_packets is log.data_packets
-                and trace.acks is log.acks
-                and trace.timeouts is log.timeouts
-                and trace.recovery_phases is log.recovery_phases
-            ):
-                trace, metadata = None, trace.metadata
+        # Across a process boundary the log travels as its columns (a
+        # FlowLog pickles as FlowLog.to_columns).  A trace captured from
+        # the log shares its column sets, so only its metadata travels
+        # and the trace is re-captured from the restored log, as a store
+        # hit does.
+        result, trace, metadata = self.result, self.trace, None
+        if (
+            result is not None
+            and trace is not None
+            and trace.data_packets is result.log.data_packets
+            and trace.acks is result.log.acks
+            and trace.timeouts is result.log.timeouts
+            and trace.recovery_phases is result.log.recovery_phases
+        ):
+            trace, metadata = None, trace.metadata
         return (
             _restore_outcome,
             (
                 self.index,
                 self.spec,
-                shipped,
+                result,
                 trace,
                 metadata,
                 self.failures,
@@ -172,23 +168,14 @@ class FlowOutcome:
 
 
 def _restore_outcome(
-    index, spec, shipped, trace, metadata, failures, quarantine, attempts,
+    index, spec, result, trace, metadata, failures, quarantine, attempts,
     cache_state, skipped,
 ) -> FlowOutcome:
     """Unpickle a :class:`FlowOutcome` (see its ``__reduce__``)."""
-    result = None
-    if shipped is not None:
-        config, (meta, block), duration, telemetry = shipped
-        result = FlowResult(
-            config=config,
-            log=FlowLog.from_columns(meta, block),
-            duration=duration,
-            telemetry=telemetry,
-        )
-        if metadata is not None:
-            from repro.traces.capture import capture_flow
+    if metadata is not None:
+        from repro.traces.capture import capture_flow
 
-            trace = capture_flow(result, metadata)
+        trace = capture_flow(result, metadata)
     return FlowOutcome(
         index=index,
         spec=spec,

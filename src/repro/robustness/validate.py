@@ -11,13 +11,17 @@ those reasons instead of aggregating them.
 
 The module deliberately duck-types the trace (and imports nothing from
 :mod:`repro.traces`) so it sits below the trace layer in the import
-graph and :mod:`repro.traces.capture` can call into it.
+graph and :mod:`repro.traces.capture` can call into it.  It reads the
+per-packet observables as whole columns
+(:class:`~repro.simulator.metrics.DataPacketColumns`), never as records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces.events import FlowTrace
@@ -41,45 +45,61 @@ class ValidationResult:
         return not self.issues
 
 
-def _check_wire_records(records, duration: float, kind: str, issues: List[str]) -> int:
-    """Shared per-transmission invariants; returns the max seq/ack seen."""
-    previous_send = -float("inf")
-    highest = -1
-    for index, record in enumerate(records):
+def _check_wire_records(columns, duration: float, kind: str, issues: List[str]) -> int:
+    """Shared per-transmission invariants; returns the max seq/ack seen.
+
+    Every check runs as a numpy mask over the columns; only rows where
+    some mask fires are walked, to word their messages in row order.
+    """
+    if not len(columns):
+        return -1
+    seqs = columns.column("seq" if kind == "data" else "ack_seq")
+    sends = columns.column("send_time")
+    arrivals = columns.column("arrival_time")
+    arrived = columns.mask("arrival_time")
+    dropped = columns.mask("dropped")
+    # previous[i]: the latest send time before row i (fmax, like
+    # Python's max, never lets a NaN become the running maximum)
+    previous = np.fmax.accumulate(np.concatenate(([-np.inf], sends[:-1])))
+    horizon = duration + _TIME_SLACK
+    checks = (
+        seqs < 0,
+        sends < 0.0,
+        sends < previous - _TIME_SLACK,
+        sends > horizon,
+        dropped & arrived,
+        arrived & (arrivals < sends - _TIME_SLACK),
+        arrived & (arrivals > horizon),
+    )
+    for index in np.flatnonzero(np.logical_or.reduce(checks)).tolist():
         label = f"{kind}[{index}]"
-        seq = record.seq if kind == "data" else record.ack_seq
-        highest = max(highest, seq)
-        if seq < 0:
+        seq, send_time = int(seqs[index]), float(sends[index])
+        arrival_time = float(arrivals[index])
+        fired = [bool(check[index]) for check in checks]
+        if fired[0]:
             issues.append(f"{label}: negative sequence number {seq}")
-        if record.send_time < 0.0:
-            issues.append(f"{label}: negative send time {record.send_time}")
-        if record.send_time < previous_send - _TIME_SLACK:
+        if fired[1]:
+            issues.append(f"{label}: negative send time {send_time}")
+        if fired[2]:
             issues.append(
-                f"{label}: send time {record.send_time} precedes previous "
-                f"{previous_send} (records must be in send order)"
+                f"{label}: send time {send_time} precedes previous "
+                f"{float(previous[index])} (records must be in send order)"
             )
-        previous_send = max(previous_send, record.send_time)
-        if record.send_time > duration + _TIME_SLACK:
+        if fired[3]:
+            issues.append(f"{label}: sent at {send_time} after flow end {duration}")
+        if fired[4]:
             issues.append(
-                f"{label}: sent at {record.send_time} after flow end {duration}"
+                f"{label}: marked lost but has an arrival time {arrival_time}"
             )
-        if record.dropped and record.arrival_time is not None:
+        if fired[5]:
             issues.append(
-                f"{label}: marked lost but has an arrival time "
-                f"{record.arrival_time}"
+                f"{label}: arrived at {arrival_time} before it was sent at {send_time}"
             )
-        if record.arrival_time is not None:
-            if record.arrival_time < record.send_time - _TIME_SLACK:
-                issues.append(
-                    f"{label}: arrived at {record.arrival_time} before it was "
-                    f"sent at {record.send_time}"
-                )
-            if record.arrival_time > duration + _TIME_SLACK:
-                issues.append(
-                    f"{label}: arrived at {record.arrival_time} after flow "
-                    f"end {duration}"
-                )
-    return highest
+        if fired[6]:
+            issues.append(
+                f"{label}: arrived at {arrival_time} after flow end {duration}"
+            )
+    return max(-1, int(seqs.max()))
 
 
 def validate_trace(trace: "FlowTrace") -> List[str]:
@@ -102,20 +122,18 @@ def validate_trace(trace: "FlowTrace") -> List[str]:
 
     # Cumulative ACKs acknowledge the next expected byte, so an ack_seq
     # may exceed the highest *data* seq by at most one packet.
-    for index, ack in enumerate(trace.acks):
-        if ack.ack_seq > max_seq + 1:
-            issues.append(
-                f"ack[{index}]: acknowledges seq {ack.ack_seq} but highest "
-                f"data seq sent is {max_seq}"
-            )
+    ack_seqs = trace.acks.column("ack_seq")
+    for index in np.flatnonzero(ack_seqs > max_seq + 1).tolist():
+        issues.append(
+            f"ack[{index}]: acknowledges seq {int(ack_seqs[index])} but highest "
+            f"data seq sent is {max_seq}"
+        )
 
     if trace.delivered_payloads < 0:
         issues.append(f"delivered_payloads is negative: {trace.delivered_payloads}")
     if trace.duplicate_payloads < 0:
         issues.append(f"duplicate_payloads is negative: {trace.duplicate_payloads}")
-    arrivals = sum(
-        1 for record in trace.data_packets if record.arrival_time is not None
-    )
+    arrivals = trace.data_packets.bit("arrival_time").count(1)
     if trace.delivered_payloads + trace.duplicate_payloads > arrivals:
         issues.append(
             f"payload counters ({trace.delivered_payloads} delivered + "

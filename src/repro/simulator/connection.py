@@ -383,5 +383,4 @@ def run_flow(
         if tel is not None:
             tel.on_budget_exceeded(error.kind)
         raise
-    harness.log.seal()
     return harness.result()

@@ -21,7 +21,7 @@ from typing import Optional, Set
 
 from repro.simulator.channel import Link
 from repro.simulator.engine import EventHandle, Simulator
-from repro.simulator.metrics import AckRecord, FlowLog
+from repro.simulator.metrics import FlowLog
 from repro.simulator.packet import AckSegment, Segment
 from repro.util.errors import ConfigurationError
 
@@ -168,12 +168,6 @@ class Receiver:
             )
         self._ack_transmission_counter += 1
         self._log.record_ack_send(
-            AckRecord(
-                transmission_id=ack.transmission_id,
-                ack_seq=ack.ack_seq,
-                send_time=now,
-                is_duplicate=is_duplicate,
-                subflow_id=self.subflow_id,
-            )
+            ack.transmission_id, ack.ack_seq, now, is_duplicate, self.subflow_id
         )
         self._ack_link.send(ack)

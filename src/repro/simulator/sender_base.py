@@ -54,12 +54,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.simulator.channel import Link
 from repro.simulator.engine import EventHandle, Simulator
-from repro.simulator.metrics import (
-    DataPacketRecord,
-    FlowLog,
-    RecoveryPhaseRecord,
-    TimeoutRecord,
-)
+from repro.simulator.metrics import FlowLog, RecoveryPhaseRecord, TimeoutRecord
 from repro.simulator.packet import AckSegment, Segment
 from repro.simulator.rto import RtoEstimator
 from repro.telemetry.base import Telemetry, active as _active_telemetry
@@ -148,14 +143,15 @@ class BaseSender:
         self._recover_point = 0  # fast-recovery exit threshold
         self._rto_timer: Optional[EventHandle] = None
         self._current_recovery: Optional[RecoveryPhaseRecord] = None
-        self._recovery_records: list = []  # DataPacketRecords of the open phase
+        self._recovery_records: list = []  # log rows of the open phase's retransmissions
         self._transmission_counter = 0
         #: per-seq (last send time, ever retransmitted) for Karn's rule
         self._send_info: Dict[int, Tuple[float, bool]] = {}
         self._telemetry = _active_telemetry(telemetry)
-        #: per-seq latest DataPacketRecord, kept only under telemetry so
-        #: an RTO can be classified as spurious (latest copy not lost)
-        self._tel_records: Optional[Dict[int, DataPacketRecord]] = (
+        #: per-seq log row of the latest transmission, kept only under
+        #: telemetry so an RTO can be classified as spurious (latest
+        #: copy not lost)
+        self._tel_records: Optional[Dict[int, int]] = (
             {} if self._telemetry is not None else None
         )
         # Packet pooling is discovered from the link rather than taken
@@ -298,17 +294,9 @@ class BaseSender:
                 segment = Segment(seq, tid, now, retx, False, subflow_id)
             previous = send_info.get(seq)
             send_info[seq] = (now, retx or (previous is not None and previous[1]))
-            record = DataPacketRecord(
-                transmission_id=tid,
-                seq=seq,
-                send_time=now,
-                is_retransmission=retx,
-                in_timeout_recovery=False,
-                subflow_id=subflow_id,
-            )
-            record_send(record)
+            record_send(tid, seq, now, retx, False, subflow_id)
             if tel_records is not None:
-                tel_records[seq] = record
+                tel_records[seq] = tid
             tid += 1
             append(segment)
         self._transmission_counter = tid
@@ -438,7 +426,9 @@ class BaseSender:
             # *not* dropped by the channel — the data is in flight (or
             # its ACK was lost/late) and the retransmission is wasted.
             latest = self._tel_records.get(self.snd_una)
-            spurious = latest is not None and not latest.lost
+            spurious = latest is not None and not self._log.data_packets.is_set(
+                "dropped", latest
+            )
             self._telemetry.on_rto_fired(
                 now, self.snd_una, spurious, self.rto.backoff_exponent
             )
@@ -461,16 +451,17 @@ class BaseSender:
     def _count_recovery_losses(self, phase: RecoveryPhaseRecord) -> None:
         """Fill in retransmission loss counts for the finished phase.
 
-        Counts the records collected while the phase was open; a
+        Counts the log rows collected while the phase was open; a
         packet's fate (``dropped``) is decided synchronously at send
         time, so the counts are exact by the time the resuming ACK
         closes the phase.
         """
-        for record in self._recovery_records:
-            if record.subflow_id != self.subflow_id:
+        packets = self._log.data_packets
+        for row in self._recovery_records:
+            if packets.subflow_id[row] != self.subflow_id:
                 continue
             phase.retransmissions += 1
-            if record.lost:
+            if packets.is_set("dropped", row):
                 phase.retransmissions_lost += 1
         self._recovery_records = []
 
@@ -501,19 +492,14 @@ class BaseSender:
         self._transmission_counter += 1
         previous = self._send_info.get(seq)
         self._send_info[seq] = (now, is_retransmission or (previous is not None and previous[1]))
-        record = DataPacketRecord(
-            transmission_id=segment.transmission_id,
-            seq=seq,
-            send_time=now,
-            is_retransmission=is_retransmission,
-            in_timeout_recovery=segment.in_timeout_recovery,
-            subflow_id=self.subflow_id,
+        row = segment.transmission_id
+        self._log.record_data_send(
+            row, seq, now, is_retransmission, segment.in_timeout_recovery, self.subflow_id
         )
-        self._log.record_data_send(record)
         if self._tel_records is not None:
-            self._tel_records[seq] = record
+            self._tel_records[seq] = row
         if segment.in_timeout_recovery and self._current_recovery is not None:
-            self._recovery_records.append(record)
+            self._recovery_records.append(row)
         self._data_link.send(segment)
         if (
             segment.in_timeout_recovery
@@ -532,14 +518,7 @@ class BaseSender:
             )
             self._transmission_counter += 1
             self._log.record_data_send(
-                DataPacketRecord(
-                    transmission_id=copy.transmission_id,
-                    seq=seq,
-                    send_time=now,
-                    is_retransmission=True,
-                    in_timeout_recovery=True,
-                    subflow_id=copy.subflow_id,
-                )
+                copy.transmission_id, seq, now, True, True, copy.subflow_id
             )
             self.redundant_retransmit_link.send(copy)
 

@@ -10,9 +10,10 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
+
+import numpy as np
 
 from repro.traces.events import FlowTrace
 from repro.util.stats import mean
@@ -70,44 +71,45 @@ def estimate_rtt(trace: FlowTrace, max_samples: int = 2000) -> Optional[float]:
     retransmitted sequence numbers out).  Returns None when no sample
     can be formed (e.g. an all-lost trace).
     """
-    retransmitted = {r.seq for r in trace.data_packets if r.is_retransmission}
-    ack_arrivals: List[Tuple[float, int]] = sorted(
-        (r.arrival_time, r.ack_seq) for r in trace.acks if r.arrival_time is not None
-    )
-    if not ack_arrivals:
+    packets, acks = trace.data_packets, trace.acks
+    arrived = acks.mask("arrival_time")
+    ack_times = acks.column("arrival_time")[arrived]
+    ack_seqs = acks.column("ack_seq")[arrived]
+    if not ack_times.size:
         return None
-    arrival_times = [arrival for arrival, _ in ack_arrivals]
-    # Suffix maximum of ack_seq lets us test "is there a covering ACK
-    # arriving after t" in O(log n).
-    suffix_max: List[int] = [0] * len(ack_arrivals)
-    running = 0
-    for index in range(len(ack_arrivals) - 1, -1, -1):
-        running = max(running, ack_arrivals[index][1])
-        suffix_max[index] = running
+    order = np.lexsort((ack_seqs, ack_times))  # by arrival, then ack_seq
+    arrival_times, covered = ack_times[order], ack_seqs[order]
+    # Suffix maximum of ack_seq tells whether any ACK arriving at or
+    # after a given index covers a sequence number.
+    suffix_max = np.maximum(np.maximum.accumulate(covered[::-1])[::-1], 0)
 
-    samples: List[float] = []
-    step = max(1, len(trace.data_packets) // max_samples)
-    for record in trace.data_packets[::step]:
-        if record.is_retransmission or record.seq in retransmitted or record.lost:
-            continue
-        start = bisect_left(arrival_times, record.send_time)
-        # Find the first arrival at/after the send that covers seq.
-        lo = start
-        if lo >= len(ack_arrivals) or suffix_max[lo] <= record.seq:
-            continue
-        hi = len(ack_arrivals) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if suffix_max[mid + 1] > record.seq and ack_arrivals[mid][1] <= record.seq:
-                lo = mid + 1
-            elif ack_arrivals[mid][1] > record.seq:
-                hi = mid
-            else:
-                lo = mid + 1
-        samples.append(ack_arrivals[lo][0] - record.send_time)
-    if not samples:
+    seqs = packets.column("seq")
+    retransmission = packets.mask("is_retransmission")
+    step = max(1, len(packets) // max_samples)
+    sampled = seqs[::step]
+    keep = ~(
+        retransmission[::step]
+        | np.isin(sampled, seqs[retransmission])
+        | packets.mask("dropped")[::step]
+    )
+    sampled, sends = sampled[keep], packets.column("send_time")[::step][keep]
+    last = len(arrival_times) - 1
+    lo = np.searchsorted(arrival_times, sends, side="left")
+    # A sample needs a covering ACK arriving at or after its send.
+    formed = (lo <= last) & (suffix_max[np.minimum(lo, last)] > sampled)
+    lo, sampled, sends = lo[formed], sampled[formed], sends[formed]
+    # Binary search for the first such ACK, every sample in lockstep.
+    hi = np.full_like(lo, last)
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) // 2
+        covers = covered[mid] > sampled
+        hi = np.where(active & covers, mid, hi)
+        lo = np.where(active & ~covers, mid + 1, lo)
+        active = lo < hi
+    if not lo.size:
         return None
-    return mean(samples)
+    return mean((arrival_times[lo] - sends).tolist())
 
 
 @dataclass(frozen=True)

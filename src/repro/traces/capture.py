@@ -15,8 +15,8 @@ def capture_flow(
 ) -> FlowTrace:
     """Package a simulated flow's log as a dataset trace.
 
-    The record lists are shared (not copied) — FlowLog records are not
-    mutated after a simulation completes, and campaign generation
+    The column sets are shared (not copied) — a log's columns are not
+    written after a simulation completes, and campaign generation
     creates hundreds of traces.
 
     With ``validate=True`` the trace is checked against the structural

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.params import LinkParams
 from repro.traces.analysis import estimate_rtt
 from repro.traces.events import FlowTrace
@@ -50,10 +52,11 @@ def _timeout_probability(trace: FlowTrace) -> Optional[float]:
     Loss indications = fast retransmits + timeout sequences.  Fast
     retransmits are retransmissions sent outside timeout recovery.
     """
-    fast_retransmits = sum(
-        1
-        for record in trace.data_packets
-        if record.is_retransmission and not record.in_timeout_recovery
+    packets = trace.data_packets
+    fast_retransmits = int(
+        np.count_nonzero(
+            packets.mask("is_retransmission") & ~packets.mask("in_timeout_recovery")
+        )
     )
     timeout_sequences = len(trace.recovery_phases)
     indications = fast_retransmits + timeout_sequences

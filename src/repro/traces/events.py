@@ -4,8 +4,10 @@ A :class:`FlowTrace` is the dataset unit of the reproduction — the
 transport-layer observables of one TCP flow plus capture metadata
 (provider, phone, scenario, date), mirroring what the paper's team
 extracted from each wireshark capture.  The simulator's
-:class:`~repro.simulator.metrics.FlowLog` records are reused directly
-as the per-packet schema.
+:class:`~repro.simulator.metrics.FlowLog` columns are reused directly
+as the per-packet schema: a trace's ``data_packets`` and ``acks`` are
+the log's column sets, and record lists given instead are converted to
+columns once, so every reader sees one representation.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from repro.simulator.metrics import (
-    AckRecord,
-    DataPacketRecord,
+    AckColumns,
+    DataPacketColumns,
     RecoveryPhaseRecord,
     TimeoutRecord,
 )
@@ -43,12 +47,20 @@ class FlowTrace:
     """One flow's complete transport-layer observables."""
 
     metadata: FlowMetadata
-    data_packets: List[DataPacketRecord] = field(default_factory=list)
-    acks: List[AckRecord] = field(default_factory=list)
+    data_packets: DataPacketColumns = field(default_factory=DataPacketColumns)
+    acks: AckColumns = field(default_factory=AckColumns)
     timeouts: List[TimeoutRecord] = field(default_factory=list)
     recovery_phases: List[RecoveryPhaseRecord] = field(default_factory=list)
     delivered_payloads: int = 0
     duplicate_payloads: int = 0
+
+    def __setattr__(self, name: str, value) -> None:
+        # Record lists become columns on assignment, in __init__ too.
+        if name == "data_packets":
+            value = DataPacketColumns.of(value)
+        elif name == "acks":
+            value = AckColumns.of(value)
+        object.__setattr__(self, name, value)
 
     # -- headline statistics ------------------------------------------
 
@@ -67,14 +79,14 @@ class FlowTrace:
         """Lifetime data loss rate ``p_d``."""
         if not self.data_packets:
             return 0.0
-        return sum(1 for r in self.data_packets if r.lost) / len(self.data_packets)
+        return self.data_packets.bit("dropped").count(1) / len(self.data_packets)
 
     @property
     def ack_loss_rate(self) -> float:
         """Lifetime ACK loss rate ``p_a``."""
         if not self.acks:
             return 0.0
-        return sum(1 for r in self.acks if r.lost) / len(self.acks)
+        return self.acks.bit("dropped").count(1) / len(self.acks)
 
     @property
     def data_loss_event_rate(self) -> float:
@@ -88,12 +100,8 @@ class FlowTrace:
         """
         if not self.data_packets:
             return 0.0
-        events = 0
-        previous_lost = False
-        for record in self.data_packets:  # recorded in send order
-            if record.lost and not previous_lost:
-                events += 1
-            previous_lost = record.lost
+        lost = self.data_packets.mask("dropped")  # in send order
+        events = int(lost[0]) + int(np.count_nonzero(lost[1:] & ~lost[:-1]))
         return events / len(self.data_packets)
 
     def completed_recovery_phases(self) -> List[RecoveryPhaseRecord]:
@@ -101,10 +109,13 @@ class FlowTrace:
 
     def arrivals_by_seq(self) -> dict:
         """seq -> sorted arrival times of every copy that reached the receiver."""
+        packets = self.data_packets
+        arrived = packets.mask("arrival_time")
+        seqs = packets.column("seq")[arrived]
+        times = packets.column("arrival_time")[arrived]
+        order = np.lexsort((times, seqs))
+        seqs, times = seqs[order].tolist(), times[order].tolist()
         arrivals: dict = {}
-        for record in self.data_packets:
-            if record.arrival_time is not None:
-                arrivals.setdefault(record.seq, []).append(record.arrival_time)
-        for times in arrivals.values():
-            times.sort()
+        for seq, time in zip(seqs, times):
+            arrivals.setdefault(seq, []).append(time)
         return arrivals

@@ -196,7 +196,7 @@ class TestValidationQuarantine:
             trace = real_capture(result, metadata, validate=False)
             if metadata.flow_id.endswith("/001") and trace.data_packets:
                 # Timestamps running backwards: the validator must veto it.
-                trace.data_packets[-1].send_time = -5.0
+                trace.data_packets.send_time[-1] = -5.0
                 corrupted.append(metadata.flow_id)
             if validate:
                 from repro.robustness.validate import validate_trace

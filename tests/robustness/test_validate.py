@@ -149,7 +149,7 @@ class TestCaptureIntegration:
     def test_capture_flow_raises_on_corrupt_log(self):
         built = stationary_scenario().build(duration=10.0, seed=6)
         result = run_flow(built.config, built.data_loss, built.ack_loss, seed=6)
-        result.log.data_packets[0].send_time = 99.0  # beyond the horizon
+        result.log.data_packets.send_time[0] = 99.0  # beyond the horizon
         with pytest.raises(TraceValidationError) as excinfo:
             capture_flow(result, metadata(10.0), validate=True)
         assert excinfo.value.flow_id == "test/flow/000"
@@ -158,6 +158,6 @@ class TestCaptureIntegration:
     def test_capture_flow_without_validate_keeps_old_behaviour(self):
         built = stationary_scenario().build(duration=10.0, seed=6)
         result = run_flow(built.config, built.data_loss, built.ack_loss, seed=6)
-        result.log.data_packets[0].send_time = 99.0
+        result.log.data_packets.send_time[0] = 99.0
         trace = capture_flow(result, metadata(10.0))  # no raise
         assert trace.data_packets

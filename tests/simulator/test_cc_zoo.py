@@ -22,7 +22,7 @@ from repro.simulator import (
     run_flow,
 )
 from repro.simulator.channel import Link
-from repro.simulator.metrics import AckRecord, FlowLog
+from repro.simulator.metrics import FlowLog
 from repro.simulator.packet import AckSegment
 from repro.simulator.sender_base import (
     _CONGESTION_AVOIDANCE,
@@ -55,10 +55,9 @@ def _hand_sender(sender_cls, initial_cwnd=8.0, wmax=32.0, **kwargs):
     return sim, sender, log
 
 
-def _deliver_ack(sim, sender, log, ack_seq, tid):
-    log.record_ack_send(
-        AckRecord(transmission_id=tid, ack_seq=ack_seq, send_time=sim.now)
-    )
+def _deliver_ack(sim, sender, log, ack_seq):
+    tid = len(log.acks)  # a transmission id is its row in the log
+    log.record_ack_send(tid, ack_seq, sim.now)
     sender.on_ack(
         AckSegment(ack_seq=ack_seq, transmission_id=tid, send_time=sim.now),
         sim.now,
@@ -66,8 +65,8 @@ def _deliver_ack(sim, sender, log, ack_seq, tid):
 
 
 def _force_fast_recovery(sim, sender, log):
-    for tid in range(3):
-        _deliver_ack(sim, sender, log, ack_seq=0, tid=tid)
+    for _ in range(3):
+        _deliver_ack(sim, sender, log, ack_seq=0)
     assert sender.phase == _FAST_RECOVERY
 
 
@@ -149,7 +148,7 @@ class TestCompoundDualWindow:
         sender._last_rtt = 0.1  # diff = 0 < gamma
         sender._round_end = 0
         before = sender.dwnd
-        _deliver_ack(sim, sender, log, ack_seq=2, tid=0)
+        _deliver_ack(sim, sender, log, ack_seq=2)
         assert sender.dwnd > before
 
     def test_dwnd_drains_on_queue_buildup(self):
@@ -162,7 +161,7 @@ class TestCompoundDualWindow:
         sender._base_rtt = 0.05
         sender._last_rtt = 0.5  # diff = win * 0.9 >> gamma
         sender._round_end = 0
-        _deliver_ack(sim, sender, log, ack_seq=2, tid=0)
+        _deliver_ack(sim, sender, log, ack_seq=2)
         assert sender.dwnd < 10.0
 
     def test_send_window_is_compound_and_clamped(self):
@@ -199,7 +198,7 @@ class TestRelentlessDecrease:
     def test_each_partial_ack_charges_another_decrement(self):
         sim, sender, log = _hand_sender(RelentlessSender, initial_cwnd=8.0)
         _force_fast_recovery(sim, sender, log)
-        _deliver_ack(sim, sender, log, ack_seq=3, tid=50)  # partial ACK
+        _deliver_ack(sim, sender, log, ack_seq=3)  # partial ACK
         assert sender.phase == _FAST_RECOVERY
         assert sender.ssthresh == 6.0
 

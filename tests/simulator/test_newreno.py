@@ -13,7 +13,7 @@ from repro.simulator import (
     run_flow,
 )
 from repro.simulator.channel import Link
-from repro.simulator.metrics import AckRecord, FlowLog
+from repro.simulator.metrics import FlowLog
 from repro.simulator.packet import AckSegment
 from repro.simulator.reno import _CONGESTION_AVOIDANCE, _FAST_RECOVERY
 from repro.util.errors import ConfigurationError
@@ -56,17 +56,16 @@ def _fast_recovery_sender():
     sender = NewRenoSender(sim, link, log, wmax=32.0, initial_cwnd=8.0)
     sender.start()
     sim.run(until=0.1)
-    for tid in range(3):
-        _deliver_ack(sim, sender, log, ack_seq=0, tid=tid)
+    for _ in range(3):
+        _deliver_ack(sim, sender, log, ack_seq=0)
     assert sender.phase == _FAST_RECOVERY
     assert sender.cwnd == 7.0
     return sim, sender, log
 
 
-def _deliver_ack(sim, sender, log, ack_seq, tid):
-    log.record_ack_send(
-        AckRecord(transmission_id=tid, ack_seq=ack_seq, send_time=sim.now)
-    )
+def _deliver_ack(sim, sender, log, ack_seq):
+    tid = len(log.acks)  # a transmission id is its row in the log
+    log.record_ack_send(tid, ack_seq, sim.now)
     sender.on_ack(
         AckSegment(ack_seq=ack_seq, transmission_id=tid, send_time=sim.now), sim.now
     )
@@ -77,13 +76,13 @@ class TestPartialAckMechanics:
         # RFC 6582: deflate by the amount newly acknowledged, plus one
         # for the retransmission sent — 7 - 3 + 1 = 5 here.
         sim, sender, log = _fast_recovery_sender()
-        _deliver_ack(sim, sender, log, ack_seq=3, tid=50)
+        _deliver_ack(sim, sender, log, ack_seq=3)
         assert sender.cwnd == 5.0
         assert sender.ssthresh == 4.0  # untouched until recovery ends
 
     def test_partial_ack_stays_in_fast_recovery(self):
         sim, sender, log = _fast_recovery_sender()
-        _deliver_ack(sim, sender, log, ack_seq=3, tid=50)
+        _deliver_ack(sim, sender, log, ack_seq=3)
         assert sender.phase == _FAST_RECOVERY
         # The next hole (the new snd_una) was retransmitted immediately.
         hole = log.data_packets[-1]
@@ -91,7 +90,7 @@ class TestPartialAckMechanics:
         assert not hole.in_timeout_recovery
         # An ACK past the recovery point finally exits to congestion
         # avoidance with the classic deflation to ssthresh.
-        _deliver_ack(sim, sender, log, ack_seq=8, tid=51)
+        _deliver_ack(sim, sender, log, ack_seq=8)
         assert sender.phase == _CONGESTION_AVOIDANCE
         assert sender.cwnd == 4.0
 
@@ -101,7 +100,7 @@ class TestPartialAckMechanics:
         sim, sender, log = _fast_recovery_sender()
         before = sender._rto_timer
         assert before is not None
-        _deliver_ack(sim, sender, log, ack_seq=3, tid=50)
+        _deliver_ack(sim, sender, log, ack_seq=3)
         after = sender._rto_timer
         assert after is not None and after is not before
         assert before.cancelled and not after.cancelled

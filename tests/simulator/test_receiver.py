@@ -29,11 +29,7 @@ class Harness:
     def deliver(self, seq, at=None):
         time = self.sim.now if at is None else at
         segment = Segment(seq=seq, transmission_id=self._tid, send_time=time)
-        self.log.record_data_send(
-            __import__("repro.simulator.metrics", fromlist=["DataPacketRecord"]).DataPacketRecord(
-                transmission_id=self._tid, seq=seq, send_time=time
-            )
-        )
+        self.log.record_data_send(self._tid, seq, time)
         self._tid += 1
         self.receiver.on_data(segment, time)
 

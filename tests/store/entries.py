@@ -4,17 +4,19 @@ import gzip
 import hashlib
 import json
 
-from repro.simulator.metrics import AckRecord, DataPacketRecord, FlowLog
+from repro.simulator.metrics import FlowLog
 from repro.store.format import COLUMNS
 
 
 def column_payload(flow_id="t/columns"):
     """A payload with a small log column block, shaped like encode_outcome's."""
     log = FlowLog()
-    log.record_data_send(DataPacketRecord(1, 1, 0.5, arrival_time=0.55))
-    log.record_data_send(DataPacketRecord(2, 2, 0.5))
-    log.record_data_drop(2)
-    log.record_ack_send(AckRecord(1, 2, 0.56, arrival_time=0.6))
+    log.record_data_send(0, 1, 0.5)
+    log.record_data_arrival(0, 0.55)
+    log.record_data_send(1, 2, 0.5)
+    log.record_data_drop(1)
+    log.record_ack_send(0, 2, 0.56)
+    log.record_ack_arrival(0, 0.6)
     log.record_cwnd(0.5, 2.0, "slow_start")
     meta, block = log.to_columns()
     return {

@@ -56,7 +56,7 @@ class TestArrivalLatencySeries:
         trace = make_trace()
         points = arrival_latency_series(trace)
         resolved = [
-            r for r in trace.data_packets + trace.acks
+            r for r in [*trace.data_packets, *trace.acks]
             if r.lost or r.latency is not None
         ]
         assert len(points) == len(resolved)
