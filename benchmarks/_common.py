@@ -43,14 +43,3 @@ def append_history(record: dict, output_path: str) -> None:
     with open(path, "a") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
-
-def overhead_pct(baseline_s: float, measured_s: float) -> float:
-    """Relative slowdown of ``measured_s`` over ``baseline_s``, in percent.
-
-    Negative values (measurement noise making the instrumented leg
-    faster) are reported as-is rather than clamped: the artefact should
-    record what was observed.
-    """
-    if baseline_s <= 0.0:
-        return 0.0
-    return round((measured_s - baseline_s) / baseline_s * 100.0, 2)

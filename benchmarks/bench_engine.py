@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Micro-benchmark: the simulator core's event and packet hot paths.
 
-Three measurements, written to ``BENCH_engine.json``:
+Two measurements, written to ``BENCH_engine.json``:
 
 * **events/sec** — a pure engine loop: the heap is pre-filled with
   payload events (the same ``schedule_call`` path every packet
@@ -11,15 +11,6 @@ Three measurements, written to ``BENCH_engine.json``:
   over the 300 km/h scenario's channels), measuring wire transmissions
   (data + ACK) per wall-clock second, plus the flow's engine
   events/sec for context.
-* **telemetry overhead** — the same HSR flow with telemetry off, with
-  a :class:`~repro.telemetry.NullTelemetry` sink, and with a live
-  :class:`~repro.telemetry.CountingTelemetry` sink.  ``NullTelemetry``
-  is normalised away at construction, so its leg exercises the exact
-  uninstrumented code path; the benchmark *fails* (exit 1) if it
-  measures more than 5% slower than telemetry-off, because that would
-  mean the zero-overhead-when-off contract broke.  The counting leg
-  has its own 15% budget: live counters ride the batched per-burst
-  hooks and must stay cheap enough to leave on for campaigns.
 
 The committed artefact is the regression baseline: ``scripts/smoke.py``
 re-measures and fails when events/sec drops more than 30% below it.
@@ -43,16 +34,7 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from _common import append_history, overhead_pct, write_artifact  # noqa: E402
-
-#: NullTelemetry must cost nothing: it resolves to the uninstrumented
-#: engine, so anything beyond measurement noise is a broken contract.
-NULL_OVERHEAD_LIMIT_PCT = 5.0
-
-#: CountingTelemetry is the always-on campaign sink; batched hook
-#: delivery (one call per burst instead of one per packet) is expected
-#: to keep live counters within this budget of the uninstrumented flow.
-COUNTING_OVERHEAD_LIMIT_PCT = 15.0
+from _common import append_history, write_artifact  # noqa: E402
 
 
 def bench_event_loop(events: int, repeats: int) -> dict:
@@ -78,26 +60,16 @@ def bench_event_loop(events: int, repeats: int) -> dict:
     }
 
 
-def _timed_flow(duration: float, seed: int = 20150402, telemetry=None):
-    """One freshly-built HSR flow; returns (elapsed_s, result, simulator)."""
+def _timed_flow(duration: float, seed: int = 20150402):
+    """One freshly-built HSR flow; returns (elapsed_s, result)."""
     from repro.hsr.scenario import hsr_scenario
     from repro.simulator.connection import run_flow
-    from repro.simulator.engine import Simulator
-    from repro.telemetry import active
 
     built = hsr_scenario().build(duration=duration, seed=seed)
-    sim = Simulator(telemetry=active(telemetry))
     start = time.perf_counter()
-    result = run_flow(
-        built.config,
-        built.data_loss,
-        built.ack_loss,
-        seed=seed,
-        simulator=sim,
-        telemetry=telemetry,
-    )
+    result = run_flow(built.config, built.data_loss, built.ack_loss, seed=seed)
     elapsed = time.perf_counter() - start
-    return elapsed, result, sim
+    return elapsed, result
 
 
 def bench_flow(duration: float, repeats: int) -> dict:
@@ -105,11 +77,11 @@ def bench_flow(duration: float, repeats: int) -> dict:
     best = float("inf")
     packets = events = 0
     for _ in range(repeats):
-        elapsed, result, sim = _timed_flow(duration)
+        elapsed, result = _timed_flow(duration)
         if elapsed < best:
             best = elapsed
             packets = result.log.data_sent + result.log.acks_sent
-            events = sim.events_processed
+            events = result.events_fired
     return {
         "scenario": "hsr/300kmh",
         "sim_duration_s": duration,
@@ -121,41 +93,12 @@ def bench_flow(duration: float, repeats: int) -> dict:
     }
 
 
-def bench_telemetry_overhead(duration: float, repeats: int) -> dict:
-    """HSR flow with telemetry off vs NullTelemetry vs CountingTelemetry.
-
-    Best-of-``repeats`` per leg, legs interleaved round-robin so a
-    transient host stall penalises all three alike rather than one.
-    """
-    from repro.telemetry import CountingTelemetry, NullTelemetry
-
-    legs = {"off": None, "null": NullTelemetry, "counting": CountingTelemetry}
-    best = {name: float("inf") for name in legs}
-    for _ in range(repeats):
-        for name, factory in legs.items():
-            sink = factory() if factory is not None else None
-            elapsed, _, _ = _timed_flow(duration, telemetry=sink)
-            best[name] = min(best[name], elapsed)
-    return {
-        "scenario": "hsr/300kmh",
-        "sim_duration_s": duration,
-        "off_s": round(best["off"], 4),
-        "null_s": round(best["null"], 4),
-        "counting_s": round(best["counting"], 4),
-        "null_overhead_pct": overhead_pct(best["off"], best["null"]),
-        "counting_overhead_pct": overhead_pct(best["off"], best["counting"]),
-        "null_limit_pct": NULL_OVERHEAD_LIMIT_PCT,
-        "counting_limit_pct": COUNTING_OVERHEAD_LIMIT_PCT,
-    }
-
-
 def run_benchmark(events: int, flow_duration: float, repeats: int) -> dict:
     return {
         "benchmark": "engine",
         "cpu_count": os.cpu_count(),
         "event_loop": bench_event_loop(events, repeats),
         "hsr_flow": bench_flow(flow_duration, repeats),
-        "telemetry": bench_telemetry_overhead(flow_duration, repeats),
     }
 
 
@@ -176,14 +119,11 @@ def main(argv=None) -> int:
 
     loop = result["event_loop"]
     flow = result["hsr_flow"]
-    telemetry = result["telemetry"]
     append_history(
         {
             "benchmark": "engine",
             "events_per_s": loop["events_per_s"],
             "packets_per_s": flow["packets_per_s"],
-            "null_overhead_pct": telemetry["null_overhead_pct"],
-            "counting_overhead_pct": telemetry["counting_overhead_pct"],
         },
         args.output,
     )
@@ -192,23 +132,7 @@ def main(argv=None) -> int:
     print(f"bench: HSR flow {flow['packets_per_s']:,.0f} packets/s, "
           f"{flow['engine_events_per_s']:,.0f} events/s "
           f"({flow['packets']} packets in {flow['elapsed_s']}s)")
-    print(f"bench: telemetry overhead — null {telemetry['null_overhead_pct']:+.2f}%, "
-          f"counting {telemetry['counting_overhead_pct']:+.2f}% "
-          f"(off {telemetry['off_s']}s)")
-    failed = False
-    if telemetry["null_overhead_pct"] > NULL_OVERHEAD_LIMIT_PCT:
-        print(f"bench: FAIL — NullTelemetry overhead "
-              f"{telemetry['null_overhead_pct']:.2f}% exceeds the "
-              f"{NULL_OVERHEAD_LIMIT_PCT:.0f}% zero-overhead budget",
-              file=sys.stderr)
-        failed = True
-    if telemetry["counting_overhead_pct"] > COUNTING_OVERHEAD_LIMIT_PCT:
-        print(f"bench: FAIL — CountingTelemetry overhead "
-              f"{telemetry['counting_overhead_pct']:.2f}% exceeds the "
-              f"{COUNTING_OVERHEAD_LIMIT_PCT:.0f}% live-counter budget",
-              file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+    return 0
 
 
 if __name__ == "__main__":

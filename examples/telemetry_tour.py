@@ -1,72 +1,55 @@
-"""Telemetry tour: observe a flow and a campaign without perturbing them.
+"""Telemetry tour: read a flow's and a campaign's counters after the fact.
 
 Three stops:
 
-1. a single HSR flow with :class:`~repro.telemetry.CountingTelemetry`
-   attached — engine, packet, and RTO counters, reconciled against the
-   flow's own :class:`FlowLog`;
-2. the same flow through :class:`~repro.telemetry.TimelineTelemetry`,
-   which tags every drop and RTO with the congestion-control phase it
-   happened in;
+1. a single HSR flow summarised with :func:`~repro.telemetry.summarise`
+   — engine, packet, and RTO counters, read off the finished flow's
+   :class:`FlowLog` plus the event counts its result carries;
+2. the same flow's :func:`~repro.telemetry.timeline`, which tags every
+   drop and RTO with the congestion-control phase it happened in;
 3. a miniature campaign with executor-level aggregation, merging
    per-flow counters into one :class:`~repro.telemetry.CampaignTelemetry`.
 
-Instrumentation is observation only: the instrumented flow's log is
-bit-identical to an uninstrumented run (the golden-trace test pins
-this), and with telemetry off the engine runs the exact same code it
-ran before the subsystem existed.
+Nothing observes the simulation while it runs, so counting cannot
+perturb it: the counters are a view over what the flow recorded.
 
 Run:  python examples/telemetry_tour.py
 """
 
-from repro import (
-    CountingTelemetry,
-    Executor,
-    FlowSpec,
-    TimelineTelemetry,
-    hsr_scenario,
-    run_flow,
-)
+from repro import Executor, FlowSpec, hsr_scenario, run_flow, summarise
+from repro.telemetry import timeline
 
 SEED = 20150402
 DURATION = 12.0
 
-# -- Stop 1: counters on a single flow ---------------------------------
+# -- Stop 1: counters of a single flow ---------------------------------
 built = hsr_scenario().build(duration=DURATION, seed=SEED)
-counting = CountingTelemetry()
-result = run_flow(
-    built.config, built.data_loss, built.ack_loss, seed=SEED, telemetry=counting
-)
+result = run_flow(built.config, built.data_loss, built.ack_loss, seed=SEED)
+summary = summarise(result, "tour/single")
 
 print("Counting a single HSR flow")
 print("=" * 60)
-for name, value in counting.as_dict().items():
+for name, value in summary.counters.items():
     print(f"  {name:24s} {value:8d}")
 
-# The counters are not a parallel universe: they reconcile exactly
-# with what the flow logged.
+# The packet and RTO counters are the log's own aggregates.
 log = result.log
-assert counting.data_sent == log.data_sent
-assert counting.data_dropped == log.data_lost
-assert counting.rto_fired == len(log.timeouts)
-print("  (reconciled against the FlowLog — counts agree exactly)")
+assert summary.get("data_sent") == log.data_sent
+assert summary.get("data_dropped") == log.data_lost
+assert summary.get("rto_fired") == len(log.timeouts)
+print("  (read off the FlowLog — counts agree exactly)")
 
 # -- Stop 2: a phase-tagged timeline -----------------------------------
-# Rebuild the scenario: the loss channels are stateful RNG streams, so
-# a fresh flow needs fresh channels to replay the same seed.
-built = hsr_scenario().build(duration=DURATION, seed=SEED)
-timeline = TimelineTelemetry()
-run_flow(
-    built.config, built.data_loss, built.ack_loss, seed=SEED, telemetry=timeline
-)
+events = timeline(result)
 
 print("\nPhase-tagged timeline of the same flow")
 print("=" * 60)
 for kind in ("drop", "rto_fired", "phase"):
-    events = timeline.events_of_kind(kind)
-    print(f"  {kind:10s} {len(events):4d} events")
-for event in timeline.events_of_kind("rto_fired"):
-    print(f"    t={event.time:7.3f}s  RTO in phase {event.phase!r}  ({event.detail})")
+    count = sum(1 for event in events if event.kind == kind)
+    print(f"  {kind:10s} {count:4d} events")
+for event in events:
+    if event.kind == "rto_fired":
+        print(f"    t={event.time:7.3f}s  RTO in phase {event.phase!r}  ({event.detail})")
 
 # -- Stop 3: campaign aggregation --------------------------------------
 specs = [
@@ -80,5 +63,5 @@ print("\nCampaign aggregation over 3 flows")
 print("=" * 60)
 print(f"  {campaign.summary()}")
 print(f"  canonical JSON: {campaign.to_json()[:72]}...")
-print("\nTakeaway: attach a sink to see inside a flow or a campaign;")
-print("leave it off and the simulator runs its original hot path.")
+print("\nTakeaway: every counter is a view over the finished flow, so a")
+print("campaign served from a result store reports the same numbers.")

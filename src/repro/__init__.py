@@ -8,8 +8,9 @@ One import gives the working set of the whole stack::
     # closed-form models (the paper's contribution)
     repro.enhanced_throughput(repro.LinkParams(...))
 
-    # one simulated flow, optionally instrumented
-    result = repro.run_flow(config, telemetry=repro.CountingTelemetry())
+    # one simulated flow and its counters
+    result = repro.run_flow(config)
+    counters = repro.summarise(result).counters
 
     # a campaign: specs -> executor -> report (+ merged telemetry)
     execution = repro.Executor(telemetry=True).run(
@@ -22,8 +23,8 @@ One import gives the working set of the whole stack::
 Layers, bottom to top (each imports only downwards):
 
 * :mod:`repro.util` — seeded RNG streams, statistics, units, errors.
-* :mod:`repro.telemetry` — zero-overhead-when-off instrumentation
-  (:class:`Telemetry` hooks, counters, campaign aggregation, progress).
+* :mod:`repro.telemetry` — counters read off finished flows
+  (:func:`summarise`, timelines, campaign aggregation, progress).
 * :mod:`repro.simulator` — discrete-event TCP / MPTCP simulator with a
   congestion-control zoo (Reno, NewReno, CUBIC, BBR, Compound,
   Relentless).
@@ -110,11 +111,8 @@ from repro.store import (
 )
 from repro.telemetry import (
     CampaignTelemetry,
-    CountingTelemetry,
-    NullTelemetry,
-    Telemetry,
     TelemetryConfig,
-    TimelineTelemetry,
+    summarise,
     telemetry_scope,
 )
 from repro.traces import (
@@ -131,7 +129,6 @@ __all__ = [
     "CampaignReport",
     "CampaignTelemetry",
     "ConnectionConfig",
-    "CountingTelemetry",
     "ExecutionResult",
     "Executor",
     "FabricBackend",
@@ -143,7 +140,6 @@ __all__ = [
     "HookSpec",
     "LinkParams",
     "ModelOptions",
-    "NullTelemetry",
     "RemoteStore",
     "ResultStore",
     "RetryPolicy",
@@ -152,10 +148,8 @@ __all__ = [
     "StoreServer",
     "SupervisorPolicy",
     "SyntheticDataset",
-    "Telemetry",
     "TelemetryConfig",
     "ThroughputPrediction",
-    "TimelineTelemetry",
     "Watchdog",
     "__version__",
     "cc_infos",
@@ -185,6 +179,7 @@ __all__ = [
     "simulate_spec",
     "stationary_scenario",
     "store_scope",
+    "summarise",
     "supervise_scope",
     "telemetry_scope",
     "watchdog_scope",

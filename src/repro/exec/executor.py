@@ -57,7 +57,6 @@ from repro.robustness.campaign import (
 from repro.robustness.watchdog import current_watchdog
 from repro.simulator.connection import FlowResult, run_flow
 from repro.telemetry.campaign import CampaignTelemetry
-from repro.telemetry.counters import CountingTelemetry
 from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.scope import current_telemetry_config
 from repro.util.errors import ConfigurationError
@@ -98,7 +97,6 @@ def simulate_spec(spec: FlowSpec) -> Tuple[FlowResult, Optional["FlowTrace"]]:
         bottleneck_rate=spec.bottleneck_rate,
         bottleneck_buffer=spec.bottleneck_buffer,
         watchdog=spec.watchdog,
-        telemetry=CountingTelemetry() if spec.telemetry else None,
     )
     trace: Optional["FlowTrace"] = None
     if spec.metadata is not None:
@@ -466,11 +464,14 @@ class Executor:
     Configuration is keyword-only: ``Executor(backend=...,
     retry_policy=..., telemetry=...)``.
 
-    ``telemetry`` controls campaign counter collection: ``True`` bakes
-    collection into every spec, ``False`` disables it, and the default
-    ``None`` defers to the ambient :func:`~repro.telemetry.telemetry_scope`
-    configuration (how the CLI's ``--telemetry`` flag reaches every
-    executor without parameter threading).
+    ``telemetry`` controls campaign counter collection: ``True``
+    summarises every successful outcome, ``False`` disables it, and the
+    default ``None`` defers to the ambient
+    :func:`~repro.telemetry.telemetry_scope` configuration (how the
+    CLI's ``--telemetry`` flag reaches every executor without parameter
+    threading).  Collection happens in this process over the returned
+    outcomes, so it changes nothing that runs and works the same on a
+    result-store hit.
     """
 
     def __init__(
@@ -544,11 +545,11 @@ class Executor:
         order, so the report's bytes do not depend on the backend or on
         completion timing.
 
-        When telemetry collection is on (``Executor(telemetry=True)``,
-        a spec's own ``telemetry`` flag, or an ambient
-        :func:`~repro.telemetry.telemetry_scope`), per-flow counter
-        summaries are merged — in spec order, from wall-clock-free
-        counters — into :attr:`ExecutionResult.telemetry`; progress
+        When telemetry collection is on (``Executor(telemetry=True)``
+        or an ambient :func:`~repro.telemetry.telemetry_scope`), every
+        successful outcome is summarised and merged — in spec order,
+        from wall-clock-free counters — into
+        :attr:`ExecutionResult.telemetry`; progress
         reporting, when enabled, writes to stderr only and never
         changes result bytes.
         """
@@ -556,7 +557,7 @@ class Executor:
         collect = self.telemetry
         if collect is None:
             collect = ambient is not None and ambient.collect
-        prepared = [self._finalise(spec, collect) for spec in specs]
+        prepared = [self._finalise(spec) for spec in specs]
         payloads = [
             (index, spec, self.retry_policy)
             for index, spec in enumerate(prepared)
@@ -604,7 +605,7 @@ class Executor:
                     report.cache_corrupt += 1
                 elif outcome.cache_state == "error":
                     report.cache_errors += 1
-        telemetry = self._gather_telemetry(outcomes, ambient)
+        telemetry = self._gather_telemetry(outcomes, ambient) if collect else None
         return ExecutionResult(outcomes=outcomes, report=report, telemetry=telemetry)
 
     def _effective_backend(self):
@@ -650,30 +651,27 @@ class Executor:
     def _gather_telemetry(
         outcomes: List[FlowOutcome], ambient
     ) -> Optional[CampaignTelemetry]:
-        """Merge per-flow counters (spec order) into one campaign artefact."""
+        """Merge per-flow counters (spec order) into one campaign artefact;
+        None when no outcome has a result."""
         campaign: Optional[CampaignTelemetry] = None
         for outcome in outcomes:
-            result = outcome.result
-            if result is None or not isinstance(result.telemetry, CountingTelemetry):
+            if outcome.result is None:
                 continue
             if campaign is None:
                 campaign = CampaignTelemetry()
-            campaign.merge_flow(result.telemetry.summarise(outcome.spec.flow_id))
+            campaign.merge_outcome(outcome)
         if campaign is not None and ambient is not None and ambient.aggregate is not None:
             ambient.aggregate.merge(campaign)
         return campaign
 
-    def _finalise(self, spec: FlowSpec, collect: bool = False) -> FlowSpec:
+    def _finalise(self, spec: FlowSpec) -> FlowSpec:
         """Bake ambient context into the spec before it leaves this process.
 
         ContextVars don't cross the spawn boundary, so the ambient
-        watchdog — and the telemetry-collection flag — must travel
-        inside the spec itself.
+        watchdog must travel inside the spec itself.
         """
         if spec.watchdog is None:
             ambient = current_watchdog()
             if ambient is not None:
                 spec = spec.with_(watchdog=ambient)
-        if collect and not spec.telemetry:
-            spec = spec.with_(telemetry=True)
         return spec

@@ -106,10 +106,6 @@ class FlowSpec:
     metadata: Optional["FlowMetadata"] = None
     #: validate the captured trace (requires ``metadata``)
     validate: bool = False
-    #: collect per-flow telemetry counters (a plain bool — not a sink —
-    #: so the flag survives the pickle across a spawn boundary; the
-    #: worker builds its own CountingTelemetry)
-    telemetry: bool = False
     #: content key of the flow this spec is a retry attempt of; set by
     #: :meth:`for_attempt` so the result store resolves reseeded retry
     #: specs to the *original* flow's cache entry
@@ -121,12 +117,11 @@ class FlowSpec:
     scenario_ref: Optional[str] = None
 
     #: fields the result store excludes from the content hash —
-    #: ``telemetry`` never changes simulated bytes, ``parent_key``
-    #: is the back-pointer the hash itself resolves through, and
-    #: ``scenario_ref`` is already captured by the resolved ``scenario``
-    #: (a by-name spec must hash identically to the same spec built
-    #: from the compiled scenario directly)
-    _CACHE_KEY_EXCLUDE = frozenset({"parent_key", "telemetry", "scenario_ref"})
+    #: ``parent_key`` is the back-pointer the hash itself resolves
+    #: through, and ``scenario_ref`` is already captured by the resolved
+    #: ``scenario`` (a by-name spec must hash identically to the same
+    #: spec built from the compiled scenario directly)
+    _CACHE_KEY_EXCLUDE = frozenset({"parent_key", "scenario_ref"})
 
     def __post_init__(self) -> None:
         if self.scenario_ref is not None:

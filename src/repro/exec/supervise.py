@@ -67,7 +67,6 @@ from repro.exec.executor import (
     SerialBackend,
 )
 from repro.robustness.campaign import FlowFailure, QuarantineRecord, RetryPolicy
-from repro.telemetry.counters import CountingTelemetry
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -821,16 +820,6 @@ class SupervisedBackend:
         if tracked.failures:
             outcome.failures = list(tracked.failures) + list(outcome.failures)
             outcome.attempts += len(tracked.failures)
-        # ``getattr``: a plain ``map`` over non-payload items files
-        # whatever ``fn`` returned.
-        telemetry = getattr(getattr(outcome, "result", None), "telemetry", None)
-        if isinstance(telemetry, CountingTelemetry):
-            telemetry.worker_crashes = sum(
-                1 for f in outcome.failures if f.failure_class == "worker_crash"
-            )
-            telemetry.deadline_preemptions = sum(
-                1 for f in outcome.failures if f.failure_class == "deadline"
-            )
         results[tracked.position] = outcome
         done_box[0] += 1
         if progress is not None:

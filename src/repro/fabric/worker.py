@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.executor import FlowOutcome
 from repro.telemetry.campaign import CampaignTelemetry
-from repro.telemetry.counters import CountingTelemetry
 
 __all__ = ["FabricWorker"]
 
@@ -192,16 +191,13 @@ class FabricWorker:
     def _telemetry_delta(outcomes: List[FlowOutcome]) -> Optional[Dict[str, object]]:
         delta: Optional[CampaignTelemetry] = None
         for outcome in outcomes:
-            # the fabric maps arbitrary fns; only FlowOutcome-shaped
-            # results carry a telemetry summary worth streaming
-            result = getattr(outcome, "result", None)
-            if result is None or not isinstance(
-                getattr(result, "telemetry", None), CountingTelemetry
-            ):
+            # the fabric maps arbitrary fns; only a FlowOutcome with a
+            # result has counters worth streaming
+            if not isinstance(outcome, FlowOutcome) or outcome.result is None:
                 continue
             if delta is None:
                 delta = CampaignTelemetry()
-            delta.merge_flow(result.telemetry.summarise(outcome.spec.flow_id))
+            delta.merge_outcome(outcome)
         return None if delta is None else delta.to_dict()
 
     # -- the loop ------------------------------------------------------

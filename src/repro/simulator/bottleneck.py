@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.simulator.channel import LossModel, NoLoss, _observed_delivery
+from repro.simulator.channel import LossModel, NoLoss
 from repro.simulator.engine import Simulator
-from repro.telemetry.base import Telemetry, active as _active_telemetry
 from repro.util.errors import ConfigurationError
 
 __all__ = ["BottleneckLink"]
@@ -46,8 +45,6 @@ class BottleneckLink:
         "overflows",
         "_queued",
         "_service_free_at",
-        "_telemetry",
-        "direction",
         "packet_pool",
         "release",
     )
@@ -61,8 +58,6 @@ class BottleneckLink:
         loss_model: Optional[LossModel] = None,
         deliver: Optional[Callable] = None,
         on_drop: Optional[Callable] = None,
-        telemetry: Optional[Telemetry] = None,
-        direction: str = "data",
         packet_pool=None,
         release: Optional[Callable] = None,
     ) -> None:
@@ -83,13 +78,7 @@ class BottleneckLink:
         self.rate_pps = rate_pps
         self.buffer_packets = buffer_packets
         self.loss_model = loss_model or NoLoss()
-        self.direction = direction
-        self._telemetry = _active_telemetry(telemetry)
-        self.deliver = (
-            deliver
-            if self._telemetry is None
-            else _observed_delivery(deliver, self._telemetry, direction)
-        )
+        self.deliver = deliver
         self.on_drop = on_drop
         # Same pool discovery/release contract as Link (see there).
         self.packet_pool = packet_pool
@@ -120,19 +109,12 @@ class BottleneckLink:
         """Enqueue one packet for transmission."""
         self.sent += 1
         now = self._simulator.now
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.on_packet_sent(self.direction, now)
         if self.loss_model.is_lost(now):
             self.dropped += 1
-            if telemetry is not None:
-                telemetry.on_packet_dropped(self.direction, now)
             self._drop(packet, now)
             return
         if self._queued >= self.buffer_packets:
             self.overflows += 1
-            if telemetry is not None:
-                telemetry.on_packet_dropped(self.direction, now)
             self._drop(packet, now)
             return
         self._queued += 1
@@ -146,7 +128,7 @@ class BottleneckLink:
         self._simulator.schedule_call(departure + self.delay - now, self.deliver, packet)
 
     def send_burst(self, packets) -> None:
-        """Enqueue a whole round, batching the loss draws and telemetry.
+        """Enqueue a whole round, batching the loss draws.
 
         Event-for-event identical to per-packet :meth:`send`: the
         (departure, delivery) event *pair* of each packet must keep its
@@ -154,7 +136,7 @@ class BottleneckLink:
         departure can tie packet ``i``'s delivery time exactly, and the
         engine breaks ties by sequence number, which decides the
         ``_queued`` count an overflow check observes.  Only the loss
-        draws and hook calls are batched.
+        draws are batched.
         """
         count = len(packets)
         if count == 0:
@@ -162,28 +144,18 @@ class BottleneckLink:
         if count == 1:
             self.send(packets[0])
             return
-        telemetry = self._telemetry
-        if telemetry is not None and not telemetry.batched_packet_hooks:
-            for packet in packets:
-                self.send(packet)
-            return
         now = self._simulator.now
         self.sent += count
-        if telemetry is not None:
-            telemetry.on_packets_sent(self.direction, now, count)
         lost_flags = self.loss_model.is_lost_block([now] * count)
         schedule_call = self._simulator.schedule_call
         service_time = self.service_time
-        drops = 0
         for packet, lost in zip(packets, lost_flags):
             if lost:
                 self.dropped += 1
-                drops += 1
                 self._drop(packet, now)
                 continue
             if self._queued >= self.buffer_packets:
                 self.overflows += 1
-                drops += 1
                 self._drop(packet, now)
                 continue
             self._queued += 1
@@ -192,8 +164,6 @@ class BottleneckLink:
             self._service_free_at = departure
             schedule_call(departure - now, self._depart, None)
             schedule_call(departure + self.delay - now, self.deliver, packet)
-        if drops and telemetry is not None:
-            telemetry.on_packets_dropped(self.direction, now, drops)
 
     def _depart(self, _payload, _time) -> None:
         self._queued -= 1

@@ -42,7 +42,6 @@ from __future__ import annotations
 from math import log as _log
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.telemetry.base import Telemetry, active as _active_telemetry
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngStream
 
@@ -534,24 +533,6 @@ class CompositeLoss(LossModel):
         return result
 
 
-def _observed_delivery(
-    deliver: Callable, telemetry: Telemetry, direction: str
-) -> Callable:
-    """Wrap a delivery callback so arrivals are reported to ``telemetry``.
-
-    The wrapper keeps the engine's fast-path calling convention
-    ``deliver(packet, arrival_time)`` and adds exactly one hook call —
-    the uninstrumented delivery path never sees it, because the wrap
-    happens once at :class:`Link` construction.
-    """
-
-    def observed(packet, time: float) -> None:
-        telemetry.on_packet_delivered(direction, time)
-        deliver(packet, time)
-
-    return observed
-
-
 class Link:
     """A one-way link: propagation delay + optional jitter + loss.
 
@@ -566,12 +547,6 @@ class Link:
     cycles — the ACK link needs a sender that needs the data link —
     are closed with a late-binding lambda over the not-yet-constructed
     peer, which Python resolves at call time.
-
-    ``telemetry`` (an active :class:`~repro.telemetry.Telemetry` sink)
-    reports every transmission, drop, and delivery under
-    ``direction`` (``"data"`` or ``"ack"``); delivery is observed by
-    wrapping ``deliver``, so the uninstrumented send path keeps a
-    single ``is not None`` guard and the delivery path keeps none.
     """
 
     __slots__ = (
@@ -584,8 +559,6 @@ class Link:
         "sent",
         "dropped",
         "_last_arrival",
-        "_telemetry",
-        "direction",
         "packet_pool",
         "release",
     )
@@ -598,8 +571,6 @@ class Link:
         jitter: Optional[Callable[[], float]] = None,
         deliver: Optional[Callable] = None,
         on_drop: Optional[Callable] = None,
-        telemetry: Optional[Telemetry] = None,
-        direction: str = "data",
         packet_pool=None,
         release: Optional[Callable] = None,
     ) -> None:
@@ -613,11 +584,11 @@ class Link:
         self.delay = delay
         self.loss_model = loss_model or NoLoss()
         self.jitter = jitter
+        self.deliver = deliver
         self.on_drop = on_drop
         self.sent = 0
         self.dropped = 0
         self._last_arrival = 0.0
-        self.direction = direction
         #: the flow's :class:`~repro.simulator.packet.PacketPool`, when
         #: pooling is on; senders discover it here so the registry's
         #: sender signature stays pool-agnostic
@@ -626,12 +597,6 @@ class Link:
         #: packets are released by the consumer callback instead, so
         #: the delivery fast path gains no extra frame)
         self.release = release
-        self._telemetry = _active_telemetry(telemetry)
-        self.deliver = (
-            deliver
-            if self._telemetry is None
-            else _observed_delivery(deliver, self._telemetry, direction)
-        )
 
     @property
     def loss_fraction(self) -> float:
@@ -643,13 +608,8 @@ class Link:
         self.sent += 1
         simulator = self._simulator
         now = simulator.now
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.on_packet_sent(self.direction, now)
         if self.loss_model.is_lost(now):
             self.dropped += 1
-            if telemetry is not None:
-                telemetry.on_packet_dropped(self.direction, now)
             if self.on_drop is not None:
                 self.on_drop(packet, now)
             if self.release is not None:
@@ -681,10 +641,6 @@ class Link:
         delivery events receive the same consecutive engine sequence
         numbers the scalar loop would assign (nothing else schedules
         between the per-packet sends of a burst).
-
-        A non-batch-capable telemetry sink (e.g. the timeline recorder,
-        whose record order is part of its contract) forces the exact
-        scalar loop; batch-capable sinks get one hook call per burst.
         """
         count = len(packets)
         if count == 0:
@@ -692,16 +648,9 @@ class Link:
         if count == 1:
             self.send(packets[0])
             return
-        telemetry = self._telemetry
-        if telemetry is not None and not telemetry.batched_packet_hooks:
-            for packet in packets:
-                self.send(packet)
-            return
         simulator = self._simulator
         now = simulator.now
         self.sent += count
-        if telemetry is not None:
-            telemetry.on_packets_sent(self.direction, now, count)
         lost_flags = self.loss_model.is_lost_block([now] * count)
         jitter = self.jitter
         base_arrival = now + self.delay
@@ -732,9 +681,6 @@ class Link:
             survivors.append(packet)
             arrivals.append(arrival)
         self._last_arrival = last
-        if drops:
-            self.dropped += drops
-            if telemetry is not None:
-                telemetry.on_packets_dropped(self.direction, now, drops)
+        self.dropped += drops
         if survivors:
             simulator.schedule_calls_at(arrivals, self.deliver, survivors)

@@ -35,11 +35,8 @@ class NewRenoSender(RenoSender):
     def _on_partial_ack(self, ack: AckSegment, arrival_time: float) -> None:
         """RFC 6582: retransmit the next hole, stay in fast recovery."""
         newly_acked = ack.ack_seq - self.snd_una
-        tel_records = self._tel_records
         for seq in range(self.snd_una, ack.ack_seq):
             self._send_info.pop(seq, None)
-            if tel_records is not None:
-                tel_records.pop(seq, None)
         self.snd_una = ack.ack_seq
         if self.snd_nxt < self.snd_una:
             self.snd_nxt = self.snd_una

@@ -34,7 +34,6 @@ from repro.store.breaker import StoreCircuitBreaker
 from repro.store.format import decode_outcome, encode_outcome
 from repro.store.remote import open_store
 from repro.store.keys import UnhashableSpecError, flow_key
-from repro.telemetry.counters import CountingTelemetry
 
 __all__ = ["CachedBackend"]
 
@@ -132,15 +131,6 @@ class CachedBackend:
                     errors += 1
                 else:
                     outcome.cache_state = "corrupt" if was_corrupt else "miss"
-                if outcome.result is not None and isinstance(
-                    outcome.result.telemetry, CountingTelemetry
-                ):
-                    # Stamped after the store write: persisted counters
-                    # describe the simulation, live ones also say how
-                    # this run obtained the result.
-                    outcome.result.telemetry.cache_miss = 1
-                    if outcome.cache_state == "error":
-                        outcome.result.telemetry.store_errors = 1
                 outcomes[position] = outcome
 
         self.last_stats = {

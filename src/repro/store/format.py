@@ -4,8 +4,8 @@ The store persists everything needed to reconstruct a successful
 :class:`~repro.exec.executor.FlowOutcome` *byte-identically*: the built
 :class:`~repro.simulator.connection.ConnectionConfig`, the complete
 :class:`~repro.simulator.metrics.FlowLog`, the flow duration, the
-per-flow telemetry counters when the flow ran instrumented, plus the
-retry bookkeeping (failures, attempt count) so a cached flow replays
+counters the log does not record (the engine's event accounting and
+the sender's RTO arm count), plus the retry bookkeeping (failures, attempt count) so a cached flow replays
 into a :class:`~repro.robustness.campaign.CampaignReport` exactly as
 its live run did.
 
@@ -33,14 +33,13 @@ retrying on the next campaign run, not worth caching.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.exec.executor import FlowOutcome
 from repro.exec.spec import FlowSpec
 from repro.robustness.campaign import FlowFailure
 from repro.simulator.connection import ConnectionConfig, FlowResult
 from repro.simulator.metrics import FlowLog
-from repro.telemetry.counters import COUNTER_NAMES, CountingTelemetry
 
 __all__ = [
     "COLUMNS",
@@ -59,18 +58,10 @@ SCHEMA_VERSION = 3
 #: payload key of the log's column block (``bytes``)
 COLUMNS = "columns"
 
-#: counters that describe how a result was *obtained*, not what the
-#: simulation did — never persisted, always reassigned on restore.
-#: ``worker_crashes``/``deadline_preemptions``/``store_errors`` are
-#: supervision-layer provenance: replaying them from a cache hit would
-#: claim this run's infrastructure failed when it did not.
-_CACHE_COUNTERS = (
-    "cache_hit",
-    "cache_miss",
-    "worker_crashes",
-    "deadline_preemptions",
-    "store_errors",
-)
+#: the :class:`FlowResult` counters stored under ``result.counters``.
+#: An entry whose ``counters`` is null restores them as 0; every other
+#: per-flow counter is read off the restored log.
+_RESULT_COUNTERS = ("events_scheduled", "events_fired", "events_cancelled", "rto_armed")
 
 
 def column_block_size(payload: Dict[str, object]) -> int:
@@ -96,13 +87,6 @@ def encode_outcome(outcome: FlowOutcome) -> Dict[str, object]:
             f"only successful outcomes are storable; {outcome.spec.flow_id!r} "
             "was quarantined"
         )
-    counters: Optional[Dict[str, int]] = None
-    if isinstance(result.telemetry, CountingTelemetry):
-        counters = {
-            name: value
-            for name, value in result.telemetry.as_dict().items()
-            if name not in _CACHE_COUNTERS
-        }
     meta, block = result.log.to_columns()
     return {
         "flow_id": outcome.spec.flow_id,
@@ -111,7 +95,7 @@ def encode_outcome(outcome: FlowOutcome) -> Dict[str, object]:
         "result": {
             "config": asdict(result.config),
             "duration": result.duration,
-            "counters": counters,
+            "counters": {name: getattr(result, name) for name in _RESULT_COUNTERS},
             "log": meta,
         },
         COLUMNS: block,
@@ -124,26 +108,15 @@ def decode_outcome(
     """Reconstruct the FlowOutcome a stored payload encodes.
 
     ``spec`` is the *requesting* spec: its metadata drives trace
-    re-capture and its ``telemetry`` flag decides whether the restored
-    result carries a counter sink.  Restored sinks report
-    ``cache_hit=1`` and zero ``cache_miss`` — the counters tell the
-    truth about how this result was obtained this run.
+    re-capture.
     """
     result_data = payload["result"]
-    telemetry: Optional[CountingTelemetry] = None
-    if spec.telemetry:
-        telemetry = CountingTelemetry()
-        stored = result_data.get("counters") or {}
-        for name in COUNTER_NAMES:
-            if name in stored:
-                setattr(telemetry, name, int(stored[name]))
-        telemetry.cache_hit = 1
-        telemetry.cache_miss = 0
+    counters = result_data.get("counters") or {}
     result = FlowResult(
         config=ConnectionConfig(**result_data["config"]),
         log=FlowLog.from_columns(result_data["log"], payload.get(COLUMNS, b"")),
         duration=result_data["duration"],
-        telemetry=telemetry,
+        **{name: int(counters.get(name, 0)) for name in _RESULT_COUNTERS},
     )
     trace = None
     if spec.metadata is not None:

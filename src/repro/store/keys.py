@@ -23,8 +23,8 @@ no canonical content, so a spec carrying one raises
 
 A class can exclude fields from its canonical form via a
 ``_CACHE_KEY_EXCLUDE`` frozenset of attribute names; ``FlowSpec`` uses
-this for presentation-only fields (telemetry collection) and for the
-``parent_key`` back-pointer itself.
+this for the ``parent_key`` back-pointer itself and for the
+``scenario_ref`` its resolved ``scenario`` already captures.
 """
 
 from __future__ import annotations

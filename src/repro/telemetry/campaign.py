@@ -1,9 +1,8 @@
 """Campaign-level telemetry: per-flow summaries merged into one artefact.
 
-The executor collects one
-:class:`~repro.telemetry.counters.FlowTelemetrySummary` per successful
-flow and merges them — **in spec order** — into a
-:class:`CampaignTelemetry`.  Everything here is wall-clock-free, so the
+The executor summarises every successful outcome
+(:meth:`CampaignTelemetry.merge_outcome`) and merges the summaries —
+**in spec order** — into a :class:`CampaignTelemetry`.  Everything here is wall-clock-free, so the
 canonical JSON (:meth:`CampaignTelemetry.to_json`) is byte-identical
 between serial and process-pool runs of the same campaign, exactly
 like :class:`~repro.robustness.campaign.CampaignReport` next to which
@@ -14,16 +13,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Mapping
 
-from repro.telemetry.counters import COUNTER_NAMES, FlowTelemetrySummary
+from repro.telemetry.counters import COUNTER_NAMES, FlowTelemetrySummary, summarise
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # repro.exec imports this package; a runtime import would be circular.
+    from repro.exec.executor import FlowOutcome
 
 __all__ = ["CampaignTelemetry"]
 
 
 @dataclass
 class CampaignTelemetry:
-    """Aggregated counters across every instrumented flow of a campaign."""
+    """Aggregated counters across every summarised flow of a campaign."""
 
     flows: int = 0
     counters: Dict[str, int] = field(default_factory=dict)
@@ -34,6 +37,28 @@ class CampaignTelemetry:
         counters = self.counters
         for name, value in summary.counters.items():
             counters[name] = counters.get(name, 0) + int(value)
+
+    def merge_outcome(self, outcome: "FlowOutcome") -> None:
+        """Fold in one successful outcome: :func:`summarise` of its
+        result plus how this run obtained it.
+
+        ``cache_state`` gives ``cache_hit``/``cache_miss``/
+        ``store_errors``.  ``worker_crashes`` and
+        ``deadline_preemptions`` count the supervisor's failure records,
+        except on a store hit: its failures are replayed from the run
+        that filled the store, and this run's infrastructure did not
+        fail.
+        """
+        counters = dict(summarise(outcome.result).counters)
+        state = outcome.cache_state
+        counters["cache_hit"] = int(state == "hit")
+        counters["cache_miss"] = int(state in ("miss", "corrupt", "error"))
+        counters["store_errors"] = int(state == "error")
+        if state != "hit":
+            classes = [failure.failure_class for failure in outcome.failures]
+            counters["worker_crashes"] = classes.count("worker_crash")
+            counters["deadline_preemptions"] = classes.count("deadline")
+        self.merge_flow(FlowTelemetrySummary(outcome.spec.flow_id, counters))
 
     def merge(self, other: "CampaignTelemetry") -> None:
         """Fold another aggregate (e.g. one experiment's) into this one."""
@@ -54,7 +79,7 @@ class CampaignTelemetry:
             name: self.get(name) for name in COUNTER_NAMES
         }
         for name in sorted(self.counters):
-            if name not in ordered:  # custom sinks may add counters
+            if name not in ordered:  # e.g. loaded by from_mapping
                 ordered[name] = self.counters[name]
         return {"flows": self.flows, "counters": ordered}
 

@@ -4,10 +4,8 @@ Mirrors :func:`repro.robustness.watchdog.watchdog_scope`: the
 experiments CLI installs a :class:`TelemetryConfig` for a whole
 invocation, and every :class:`~repro.exec.Executor` run inside the
 scope picks it up without any experiment driver having to thread a
-parameter.  Like the ambient watchdog, the configuration does **not**
-cross process boundaries by itself — the executor bakes collection
-into each :class:`~repro.exec.FlowSpec` before submission, and workers
-ship frozen per-flow summaries back.
+parameter.  The configuration never crosses a process boundary: the
+executor summarises the outcomes workers return, in the parent.
 """
 
 from __future__ import annotations

@@ -1,113 +1,91 @@
-"""Timeline telemetry: phase-tagged event records for diagnosis.
+"""Timeline: phase-tagged event records for diagnosis, read off a flow.
 
 The HSR measurement studies diagnose pathologies from *when* things
 happen relative to the congestion phase — a burst of ACK drops during
 ``timeout_recovery`` reads completely differently from the same burst
-in ``congestion_avoidance``.  :class:`TimelineTelemetry` extends the
-counting sink with an ordered list of :class:`TimelineEvent` records,
-each tagged with the sender phase current at that instant.
+in ``congestion_avoidance``.  :func:`timeline` lists a finished flow's
+notable events as :class:`TimelineEvent` records, each tagged with the
+sender phase current at that instant, built from the log's columns and
+timeout rows.
 
-Per-packet send/delivery events are not recorded by default (a 60 s
-HSR flow transmits tens of thousands of packets); pass
+Per-packet send/delivery events are left out by default (a 60 s HSR
+flow transmits tens of thousands of packets); pass
 ``record_packets=True`` for short diagnostic runs that want them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.telemetry.counters import CountingTelemetry
+from repro.telemetry.counters import spurious_flags
 
-__all__ = ["TimelineEvent", "TimelineTelemetry"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulator.connection import FlowResult
+
+__all__ = ["TimelineEvent", "timeline"]
 
 #: The phase every flow starts in (mirrors the sender's initial state).
 _INITIAL_PHASE = "slow_start"
 
+#: Order of simultaneous events: a phase change first, then what
+#: happened in the phase it entered (a timeout before the sends it
+#: triggers, a send before its own drop).
+_RANK = {"phase": 0, "rto_fired": 1, "send": 2, "drop": 3, "delivery": 4}
+
 
 @dataclass(frozen=True, slots=True)
 class TimelineEvent:
-    """One instrumented occurrence, tagged with the congestion phase."""
+    """One notable occurrence, tagged with the congestion phase."""
 
     time: float
-    kind: str  # "phase" | "rto_armed" | "rto_fired" | "drop" | "send" | "delivery" | "budget"
+    kind: str  # "phase" | "rto_fired" | "drop" | "send" | "delivery"
     detail: str
     phase: str
 
 
-class TimelineTelemetry(CountingTelemetry):
-    """Counters plus a phase-tagged timeline of notable events."""
+def timeline(result: "FlowResult", record_packets: bool = False) -> List[TimelineEvent]:
+    """The flow's phase changes, timeouts and drops, in time order.
 
-    __slots__ = ("events", "record_packets", "_phase")
-
-    #: The timeline's contract is one record per packet in exact hook
-    #: order, so this sink opts back out of the counting base class's
-    #: batched hooks — links fall back to the scalar per-packet path.
-    batched_packet_hooks = False
-
-    def __init__(self, record_packets: bool = False) -> None:
-        super().__init__()
-        self.events: List[TimelineEvent] = []
-        self.record_packets = record_packets
-        self._phase = _INITIAL_PHASE
-
-    @property
-    def current_phase(self) -> str:
-        """The congestion phase events are currently tagged with."""
-        return self._phase
-
-    def _record(self, time: float, kind: str, detail: str) -> None:
-        self.events.append(
-            TimelineEvent(time=time, kind=kind, detail=detail, phase=self._phase)
-        )
-
-    # -- hooks ----------------------------------------------------------
-
-    def on_packet_sent(self, direction: str, time: float) -> None:
-        super().on_packet_sent(direction, time)
-        if self.record_packets:
-            self._record(time, "send", direction)
-
-    def on_packet_dropped(self, direction: str, time: float) -> None:
-        super().on_packet_dropped(direction, time)
-        self._record(time, "drop", direction)
-
-    def on_packet_delivered(self, direction: str, time: float) -> None:
-        super().on_packet_delivered(direction, time)
-        if self.record_packets:
-            self._record(time, "delivery", direction)
-
-    def on_rto_armed(self, time: float, rto: float) -> None:
-        super().on_rto_armed(time, rto)
-        if self.record_packets:
-            self._record(time, "rto_armed", f"rto={rto:.6g}")
-
-    def on_rto_fired(
-        self, time: float, seq: int, spurious: bool, backoff_exponent: int
-    ) -> None:
-        super().on_rto_fired(time, seq, spurious, backoff_exponent)
+    A ``"phase"`` event is tagged with the phase it leaves; every other
+    event with the phase the cwnd log shows at its instant, counting
+    the phase changes at that same instant as before it.  A drop is
+    timed at its send, where the channel decides it.
+    ``record_packets`` adds one ``"send"`` per transmission and one
+    ``"delivery"`` per arrival.
+    """
+    log = result.log
+    samples = log.cwnd_samples
+    names = samples.phases
+    indexes = bytes(samples.phase)
+    # (time, kind, detail, departing phase or None)
+    rows = []
+    for row in range(1, len(indexes)):
+        if indexes[row] != indexes[row - 1]:
+            old, new = names[indexes[row - 1]], names[indexes[row]]
+            detail = f"{old} -> {new} cwnd={samples.cwnd[row]:.6g}"
+            rows.append((samples.time[row], "phase", detail, old))
+    for timeout, spurious in zip(log.timeouts, spurious_flags(log)):
         tag = "spurious" if spurious else "genuine"
-        self._record(
-            time, "rto_fired", f"seq={seq} {tag} backoff={backoff_exponent}"
-        )
+        detail = f"seq={timeout.seq} {tag} backoff={timeout.backoff_exponent}"
+        rows.append((timeout.time, "rto_fired", detail, None))
+    for direction, columns in (("data", log.data_packets), ("ack", log.acks)):
+        send_time = columns.column("send_time")
+        if record_packets:
+            rows += [(time, "send", direction, None) for time in send_time.tolist()]
+        dropped = send_time[columns.mask("dropped")].tolist()
+        rows += [(time, "drop", direction, None) for time in dropped]
+        if record_packets:
+            arrived = columns.column("arrival_time")[columns.mask("arrival_time")]
+            rows += [(time, "delivery", direction, None) for time in arrived.tolist()]
+    rows.sort(key=lambda row: (row[0], _RANK[row[1]]))
 
-    def on_phase_transition(
-        self, time: float, old_phase: str, new_phase: str, cwnd: float
-    ) -> None:
-        super().on_phase_transition(time, old_phase, new_phase, cwnd)
-        # Tag the transition event itself with the phase being *left*,
-        # then switch: subsequent events belong to the new phase.
-        self._record(time, "phase", f"{old_phase} -> {new_phase} cwnd={cwnd:.6g}")
-        self._phase = new_phase
+    def phase_at(time: float) -> str:
+        sample = bisect_right(samples.time, time) - 1
+        return names[indexes[sample]] if sample >= 0 else _INITIAL_PHASE
 
-    def on_budget_exceeded(self, kind: str) -> None:
-        super().on_budget_exceeded(kind)
-        self._record(0.0, "budget", kind)
-
-    # -- queries --------------------------------------------------------
-
-    def events_of_kind(self, kind: str) -> List[TimelineEvent]:
-        return [event for event in self.events if event.kind == kind]
-
-    def events_in_phase(self, phase: str) -> List[TimelineEvent]:
-        return [event for event in self.events if event.phase == phase]
+    return [
+        TimelineEvent(time, kind, detail, phase if phase is not None else phase_at(time))
+        for time, kind, detail, phase in rows
+    ]

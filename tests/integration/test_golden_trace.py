@@ -13,10 +13,10 @@ exactly the regression this test exists to catch.
 import hashlib
 from dataclasses import astuple
 
-from repro.exec import FlowSpec, simulate_spec
+from repro.exec import Executor, FlowSpec, simulate_spec
 from repro.hsr.scenario import hsr_scenario
 from repro.simulator.connection import run_flow
-from repro.telemetry import CountingTelemetry, NullTelemetry
+from repro.telemetry import summarise, timeline
 
 GOLDEN_SEED = 20150402
 GOLDEN_DURATION = 12.0
@@ -57,21 +57,30 @@ class TestGoldenTrace:
     def test_spec_route_agrees_with_direct_run_flow(self):
         # The executor pipeline (FlowSpec → simulate_spec) must drive
         # the exact same simulation as calling run_flow by hand.
-        spec = FlowSpec(
-            scenario=hsr_scenario(),
-            duration=GOLDEN_DURATION,
-            seed=GOLDEN_SEED,
-            flow_id="golden",
-        )
-        result, _ = simulate_spec(spec)
+        result, _ = simulate_spec(_golden_spec())
         assert _digest(result.log) == GOLDEN_DIGEST
 
     def test_null_telemetry_matches_pinned_digest(self):
-        # NullTelemetry is normalised away: the uninstrumented engine
-        # runs, so the digest holds trivially.
-        assert _digest(_flow_log(telemetry=NullTelemetry())) == GOLDEN_DIGEST
+        # A campaign with collection off runs the same simulation.
+        execution = Executor(telemetry=False).run([_golden_spec()])
+        assert execution.telemetry is None
+        assert _digest(execution.results[0].log) == GOLDEN_DIGEST
 
     def test_counting_telemetry_matches_pinned_digest(self):
-        # Instrumentation observes and must never perturb the event or
-        # RNG sequence: the digest holds even with counters ON.
-        assert _digest(_flow_log(telemetry=CountingTelemetry())) == GOLDEN_DIGEST
+        # Counters are read off the finished flow, so collecting them
+        # (and building its timeline) never perturbs the log.
+        execution = Executor(telemetry=True).run([_golden_spec()])
+        log = execution.results[0].log
+        assert execution.telemetry.get("packets_sent") > 0
+        summarise(execution.results[0])
+        timeline(execution.results[0], record_packets=True)
+        assert _digest(log) == GOLDEN_DIGEST
+
+
+def _golden_spec() -> FlowSpec:
+    return FlowSpec(
+        scenario=hsr_scenario(),
+        duration=GOLDEN_DURATION,
+        seed=GOLDEN_SEED,
+        flow_id="golden",
+    )

@@ -10,6 +10,7 @@ from repro.hsr import CHINA_MOBILE, hsr_scenario
 from repro.robustness.campaign import RetryPolicy
 from repro.simulator.connection import ConnectionConfig
 from repro.store import CachedBackend, ResultStore, flow_key
+from repro.telemetry import CampaignTelemetry
 from repro.traces.events import FlowMetadata
 
 
@@ -30,7 +31,7 @@ class CountingBackend:
         return sum(self.calls)
 
 
-def _payloads(n, telemetry=False, metadata=False):
+def _payloads(n, metadata=False):
     payloads = []
     for i in range(n):
         md = None
@@ -42,7 +43,7 @@ def _payloads(n, telemetry=False, metadata=False):
             )
         spec = FlowSpec(
             scenario=hsr_scenario(CHINA_MOBILE), duration=3.0, seed=50 + i,
-            flow_id=f"b/{i}", telemetry=telemetry, metadata=md,
+            flow_id=f"b/{i}", metadata=md,
         )
         payloads.append((i, spec, RetryPolicy()))
     return payloads
@@ -141,18 +142,23 @@ class TestPartition:
 
     def test_telemetry_counters_tell_the_truth(self, tmp_path):
         backend = CachedBackend(tmp_path / "store")
-        payloads = _payloads(1, telemetry=True)
+        payloads = _payloads(1)
         (cold,) = backend.map(_execute_payload, payloads)
         (warm,) = backend.map(_execute_payload, payloads)
-        assert cold.result.telemetry.cache_miss == 1
-        assert cold.result.telemetry.cache_hit == 0
-        assert warm.result.telemetry.cache_hit == 1
-        assert warm.result.telemetry.cache_miss == 0
-        # the simulation counters themselves are identical
-        strip = lambda t: {
-            k: v for k, v in t.as_dict().items() if not k.startswith("cache_")
-        }
-        assert strip(cold.result.telemetry) == strip(warm.result.telemetry)
+
+        def counters(outcome):
+            campaign = CampaignTelemetry()
+            campaign.merge_outcome(outcome)
+            return campaign.counters
+
+        cold_counters, warm_counters = counters(cold), counters(warm)
+        assert (cold_counters["cache_miss"], cold_counters["cache_hit"]) == (1, 0)
+        assert (warm_counters["cache_miss"], warm_counters["cache_hit"]) == (0, 1)
+        # the simulation counters themselves are identical, the ones the
+        # log cannot hold included: the entry stores them
+        strip = lambda c: {k: v for k, v in c.items() if not k.startswith("cache_")}
+        assert strip(cold_counters) == strip(warm_counters)
+        assert warm_counters["events_fired"] > 0 and warm_counters["rto_armed"] > 0
 
 
 class TestExecutorIntegration:

@@ -13,11 +13,12 @@ from repro.exec import Executor, FlowSpec
 from repro.exec.executor import ProcessPoolBackend, SerialBackend
 from repro.simulator.channel import BernoulliLoss
 from repro.simulator.connection import ConnectionConfig
+from repro.store import decode_outcome, encode_outcome, store_scope
 from repro.telemetry import (
     CampaignTelemetry,
-    CountingTelemetry,
     TelemetryConfig,
     current_telemetry_config,
+    summarise,
     telemetry_scope,
 )
 from repro.util.rng import RngStream
@@ -37,7 +38,6 @@ class TestExecutorAggregation:
     def test_off_by_default(self):
         execution = Executor().run([_spec(0)])
         assert execution.telemetry is None
-        assert execution.outcomes[0].result.telemetry is None
 
     def test_collects_when_enabled(self):
         execution = Executor(telemetry=True).run([_spec(0), _spec(1)])
@@ -45,17 +45,17 @@ class TestExecutorAggregation:
         assert campaign is not None
         assert campaign.flows == 2
         assert campaign.get("packets_sent") > 0
-        # Per-flow sinks ride on the results.
-        for outcome in execution.outcomes:
-            assert isinstance(outcome.result.telemetry, CountingTelemetry)
+        assert campaign.get("events_fired") > 0
+        assert campaign.get("rto_armed") > 0
 
     def test_campaign_is_sum_of_flow_counters(self):
         execution = Executor(telemetry=True).run([_spec(3), _spec(4)])
-        total = sum(
-            outcome.result.telemetry.packets_sent
-            for outcome in execution.outcomes
-        )
-        assert execution.telemetry.get("packets_sent") == total
+        for name in ("packets_sent", "events_scheduled", "rto_spurious"):
+            total = sum(
+                summarise(outcome.result).get(name)
+                for outcome in execution.outcomes
+            )
+            assert execution.telemetry.get(name) == total
 
     def test_serial_and_pool_json_byte_identical(self):
         specs = [_spec(seed) for seed in range(4)]
@@ -63,15 +63,40 @@ class TestExecutorAggregation:
         pooled = Executor(backend=ProcessPoolBackend(2), telemetry=True).run(specs)
         assert serial.telemetry.to_json() == pooled.telemetry.to_json()
 
-    def test_spec_level_flag_collects_without_executor_flag(self):
-        execution = Executor().run([_spec(0).with_(telemetry=True), _spec(1)])
-        assert execution.telemetry is not None
-        assert execution.telemetry.flows == 1
-
     def test_explicit_false_overrides_ambient(self):
         with telemetry_scope(TelemetryConfig(collect=True)):
             execution = Executor(telemetry=False).run([_spec(0)])
         assert execution.telemetry is None
+
+
+class TestStoreRoundTrip:
+    def test_warm_rerun_with_telemetry_matches_uncached(self, tmp_path):
+        # Counters are read off the result, so a store filled without
+        # telemetry serves a telemetry rerun the same numbers an
+        # uncached run reports; only the cache counters tell them apart.
+        specs = [_spec(seed) for seed in range(3)]
+        uncached = Executor(telemetry=True).run(specs).telemetry.to_dict()
+        with store_scope(tmp_path / "store"):
+            Executor().run(specs)
+            warm = Executor(telemetry=True).run(specs)
+        assert warm.report.cache_hits == 3
+        cached = warm.telemetry.to_dict()
+        assert cached["counters"].pop("cache_hit") == 3
+        assert uncached["counters"].pop("cache_hit") == 0
+        assert cached == uncached
+        assert cached["counters"]["packets_sent"] > 0
+        assert cached["counters"]["events_fired"] > 0
+
+    def test_entry_without_counters_zeroes_only_the_non_log_counters(self):
+        (outcome,) = Executor().run([_spec(0)]).outcomes
+        payload = encode_outcome(outcome)
+        payload["result"]["counters"] = None  # an entry that stored none
+        restored = decode_outcome(payload, index=0, spec=outcome.spec)
+        fresh = summarise(outcome.result).counters
+        stale = summarise(restored.result).counters
+        non_log = {"events_scheduled", "events_fired", "events_cancelled", "rto_armed"}
+        assert {name for name in fresh if fresh[name] != stale[name]} == non_log
+        assert all(stale[name] == 0 for name in non_log)
 
 
 class TestAmbientScope:
