@@ -97,8 +97,9 @@ def _timed_cached_campaign(flow_scale: float, duration: float, cc: str):
 
 def _timed_fabric_campaign(flow_scale: float, duration: float, cc: str):
     """The fabric leg: two worker processes over HTTP, an in-process
-    store server in the middle — the distributed stack end to end,
-    with store round-trips counted on the server."""
+    store server behind the driver — the distributed stack end to end,
+    with store round-trips counted on the server (the driver is the
+    store's only client: one GET and one PUT per flow)."""
     import tempfile
 
     from repro.fabric import FabricConfig, fabric_scope
@@ -107,7 +108,7 @@ def _timed_fabric_campaign(flow_scale: float, duration: float, cc: str):
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-fabric-") as tmp:
         with StoreServer(tmp) as server:
-            config = FabricConfig(workers=2, store=server.url, poll_s=0.02)
+            config = FabricConfig(workers=2, poll_s=0.02)
             start = time.perf_counter()
             with fabric_scope(config):
                 dataset = generate_dataset(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Public-API health check: the import surface must work as documented.
 
-Two guarantees, cheap enough to run on every change:
+Three guarantees, cheap enough to run on every change:
 
 1. ``import repro`` works in a clean interpreter, ``repro.__all__`` is
    present, sorted, and every name in it actually resolves — the
@@ -12,6 +12,8 @@ Two guarantees, cheap enough to run on every change:
    into a simulation run; instead each file is *parsed* and its import
    statements are resolved one by one.  A renamed or dropped public
    symbol therefore breaks this check, not a user's first copy-paste.
+3. Every ``--option`` the fabric CLI's usage text documents is one its
+   parser accepts, so a removed flag cannot linger in the docs.
 
 Usage::
 
@@ -98,9 +100,31 @@ def check_examples() -> None:
         print(f"api: {label} imports ok")
 
 
+def check_fabric_cli_usage() -> None:
+    """Every option in ``repro.fabric.cli``'s usage text must parse."""
+    import argparse
+    import re
+
+    from repro.fabric import cli
+
+    known = set()
+    parser = cli._build_parser()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                for option in sub._actions:
+                    known.update(option.option_strings)
+    documented = set(re.findall(r"--[a-z][a-z-]*", cli.__doc__))
+    stale = sorted(documented - known)
+    if stale:
+        fail(f"repro.fabric.cli documents options its parser lacks: {stale}")
+    print(f"api: fabric CLI usage ok — {len(documented)} documented options")
+
+
 def main() -> int:
     check_top_level_surface()
     check_examples()
+    check_fabric_cli_usage()
     print("API CHECK PASS")
     return 0
 

@@ -3,14 +3,18 @@
 
 Stands up the whole distributed stack on localhost — an HTTP store
 server, a campaign coordinator, two spawned worker processes — and
-runs the paper's Table-I campaign through it with one worker ordered
-to SIGKILL itself mid-shard.  The gates:
+runs the paper's Table-I campaign through it with a
+:class:`~repro.exec.chaos.ChaosPlan` crashing one flow's first
+execution; the flow is not first in its shard, so whichever worker
+leases that shard dies mid-shard.  The gates:
 
 1. the chaotic fabric run is byte-identical to a serial run (report
    JSON and every trace pickle), with at least one worker respawn
    actually observed;
 2. every flow was banked in the shared store over HTTP;
-3. a warm rerun serves every flow from the store and never engages the
+3. the driver is the store's only client: the cold chaotic run of N
+   flows costs exactly N GETs and N PUTs;
+4. a warm rerun serves every flow from the store and never engages the
    fabric (zero processes spawned, zero flows simulated).
 
 Writes ``FABRIC_campaign.json`` (the uploaded artefact) and exits
@@ -41,23 +45,31 @@ def _trace_pickles(dataset):
 
 
 def _fabric_campaign(flow_scale: float, duration: float, config, store_url: str):
-    """One Table-I campaign on the fabric, with the backend exposed so
-    the drill can read fleet facts (respawns, leases) off it."""
+    """One Table-I campaign on the fabric under a mid-shard crash, with
+    the backend exposed so the drill can read fleet facts (respawns,
+    leases) off it."""
+    from repro.exec.chaos import ChaosBackend, ChaosPlan
     from repro.exec.executor import Executor
-    from repro.fabric import fabric_scope
+    from repro.fabric import FabricBackend, ShardPlan
     from repro.store import store_scope
     from repro.traces.generator import PAPER_CAMPAIGN, SyntheticDataset, campaign_specs
 
-    executor = Executor.for_workers("fabric")
     specs = campaign_specs(seed=2015, duration=duration, flow_scale=flow_scale)
+    shards = ShardPlan.for_payloads(
+        list(enumerate(specs)), shard_size=config.shard_size
+    ).shards
+    victim = next(positions for positions in shards if len(positions) > 1)[1]
+    chaos = ChaosPlan(crash={specs[victim].flow_id: (0,)})
+    fabric = FabricBackend(config)
+    executor = Executor(backend=ChaosBackend(chaos, inner=fabric))
     start = time.perf_counter()
-    with fabric_scope(config), store_scope(store_url):
+    with store_scope(store_url):
         execution = executor.run(specs)
     elapsed = time.perf_counter() - start
     dataset = SyntheticDataset(
         traces=execution.traces, entries=PAPER_CAMPAIGN, report=execution.report
     )
-    return dataset, elapsed, executor.backend.last_stats
+    return dataset, elapsed, fabric.last_stats
 
 
 def run_drill(flow_scale: float, duration: float) -> dict:
@@ -76,24 +88,22 @@ def run_drill(flow_scale: float, duration: float) -> dict:
             print(f"fabric-ci: store server at {server.url}", flush=True)
             config = FabricConfig(
                 workers=2,
-                store=server.url,
                 poll_s=0.02,
                 lease_timeout_s=10.0,
                 max_worker_restarts=6,
                 announce=True,
-                # worker 0 is the crash dummy: a real SIGKILL, mid-shard
-                extra_worker_args=(("--sigkill-after", "2"),),
             )
             chaotic, chaotic_s, stats = _fabric_campaign(
                 flow_scale, duration, config, server.url
             )
             entries = server.store.stats().entries
-            put_round_trips = server.counters.get("put", 0)
+            cold_gets = server.counters.get("get", 0)
+            cold_puts = server.counters.get("put", 0)
             print(f"fabric-ci: chaotic run took {chaotic_s:.1f}s "
                   f"({stats['restarts']} respawns, "
                   f"{stats['leases_expired']} leases expired), "
                   f"{entries} flows banked over HTTP "
-                  f"({put_round_trips} PUTs)", flush=True)
+                  f"({cold_gets} GETs, {cold_puts} PUTs)", flush=True)
 
             warm, warm_s, warm_stats = _fabric_campaign(
                 flow_scale, duration, config, server.url
@@ -106,6 +116,9 @@ def run_drill(flow_scale: float, duration: float) -> dict:
         "chaotic_traces_identical": _trace_pickles(chaotic) == serial_pickles,
         "crash_observed": stats["restarts"] >= 1,
         "all_flows_banked": entries == flows,
+        # the driver's cache partition is the store's only client
+        "one_get_per_flow": cold_gets == flows,
+        "one_put_per_flow": cold_puts == flows,
         "warm_report_identical": warm.report.to_json() == serial_report,
         "warm_all_hits": warm.report.cache_hits == flows,
         "warm_simulated_nothing": warm.report.cache_misses == 0,
@@ -113,7 +126,7 @@ def run_drill(flow_scale: float, duration: float) -> dict:
         "warm_fabric_untouched": warm_stats is None,
     }
     return {
-        "drill": "fabric-kill-and-rejoin",
+        "drill": "fabric-crash-and-rejoin",
         "flows": flows,
         "flow_duration_s": duration,
         "chaotic_elapsed_s": round(chaotic_s, 4),
@@ -122,7 +135,8 @@ def run_drill(flow_scale: float, duration: float) -> dict:
         "leases_expired": stats["leases_expired"],
         "completions_rejected": stats["completions_rejected"],
         "store_entries": entries,
-        "store_put_round_trips": put_round_trips,
+        "store_get_round_trips": cold_gets,
+        "store_put_round_trips": cold_puts,
         "store_requests_total": server_requests,
         "gates": gates,
         "ok": all(gates.values()),

@@ -158,8 +158,10 @@ class ChaosBackend(SupervisedBackend):
     The parent tracks per-flow execution counts and hands the scheduled
     action to the worker-side trampoline, so a "crash on execution 0"
     flow dies exactly once and then completes — the recovery path is
-    exercised, not just the failure.  Store corruption happens in
-    :meth:`prepare_batch`, which a wrapping
+    exercised, not just the failure.  Over the fabric the execution
+    index is the shard lease's ``epoch - 1``, and the action rides
+    inside the lease to whichever worker draws it.  Store corruption
+    happens in :meth:`prepare_batch`, which a wrapping
     :class:`~repro.store.backend.CachedBackend` invokes *before* its
     store reads: the campaign genuinely reads the rotten bytes.
     """

@@ -227,7 +227,8 @@ class _DrainGuard:
 def _supervised_call(fn: Callable, payload: object, action: Optional[Tuple]):
     """Worker-side trampoline: run one payload, chaos action first.
 
-    Module-level so the spawn pool can pickle it.  ``action`` is a
+    Module-level so the spawn pool can pickle it; fabric workers call
+    it for each leased payload too.  ``action`` is a
     plain tuple (picklable, no chaos-module import needed in workers):
     ``("crash",)`` kills the worker the way a segfault would,
     ``("hang", seconds)`` wedges it past any deadline, and
@@ -338,8 +339,10 @@ class SupervisedBackend:
             # respawn, lease re-grants, per-shard retry — across a
             # process boundary this layer cannot see.  Wrapping it in
             # drain guards and pools here would only fight that
-            # machinery, so the batch is delegated verbatim.
-            return self.inner.map(fn, items, progress)
+            # machinery, so the batch is delegated, with the chaos
+            # schedule: the fabric applies each payload's action in
+            # whichever worker runs it.
+            return self.inner.map(fn, items, progress, action_for=self._action_for)
         results: List[Optional[FlowOutcome]] = [None] * len(items)
         done_box = [0]
         with _DrainGuard(self.policy.drain_signals) as drain:

@@ -331,14 +331,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     fabric_config = None
     if args.workers == "fabric":
-        # The store reference travels into the config too, so fabric
-        # workers persist flows through the same store the driver's
-        # cache partition reads (a URL reference works across hosts).
         fabric_config = FabricConfig(
             workers=args.fabric_workers,
             host=args.fabric_host,
             port=args.fabric_port,
-            store=args.store,
             lease_timeout_s=args.lease_timeout_s,
             max_worker_restarts=args.max_worker_restarts,
         )

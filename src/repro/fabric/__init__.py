@@ -15,19 +15,21 @@ to a serial run regardless of topology.  Three pieces make that true:
 * :class:`~repro.fabric.coordinator.CampaignCoordinator` /
   :class:`~repro.fabric.worker.FabricWorker` — a lease server in the
   driver process and a stateless claim → execute → complete loop in
-  each worker (``python -m repro.fabric work``).  Workers stream each
-  completed shard's outcomes and telemetry delta back; the coordinator
-  keys them by payload position, so the executor's spec-order merge is
-  untouched.
+  each worker (``python -m repro.fabric work``), which needs nothing
+  but the coordinator URL.  Workers post each completed shard's
+  outcomes back; the coordinator keys them by payload position, so the
+  executor's spec-order merge is untouched, and derives its live
+  ``/progress`` telemetry from those same outcomes.
 
 * :class:`FabricBackend` — the executor backend behind
   ``Executor.for_workers("fabric")`` and the CLI's ``--workers
   fabric``: it stands up a coordinator, spawns local workers (and
-  respawns dead ones), and returns outcomes in batch order.  Point the
-  campaign at a shared store (``--store http://host:port``, served by
-  ``python -m repro.store serve``) and completed flows persist as they
-  finish — a killed campaign resumes from exactly where its fleet got
-  to, and a warm rerun simulates nothing.
+  respawns dead ones), and returns outcomes in batch order.  The
+  driver is the only owner of results: with ``--store`` its cache
+  partition serves hits before the batch reaches the fabric and writes
+  every returned flow back, so a warm rerun simulates nothing.  A
+  worker killed mid-shard banks nothing; its shard re-runs whole, so
+  at most ``shard_size - 1`` flows are simulated twice.
 
 ``python -m repro.fabric`` offers ``serve`` / ``work`` / ``run`` over
 the paper's Table-I campaign; :func:`fabric_scope` is the ambient

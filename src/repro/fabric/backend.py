@@ -12,9 +12,18 @@ reports and telemetry stay byte-identical to serial runs.
 
 The backend advertises ``self_supervising = True``:
 :class:`~repro.exec.supervise.SupervisedBackend` delegates the batch to
-it verbatim, because the fabric's fault story (lease expiry, epoch
-arbitration, worker respawn) already covers everything the in-process
-supervisor would add, across a boundary the supervisor cannot see.
+it, because the fabric's fault story (lease expiry, epoch arbitration,
+worker respawn) already covers everything the in-process supervisor
+would add, across a boundary the supervisor cannot see.  The one thing
+the supervisor still owns is the chaos schedule: it hands ``map`` its
+``action_for`` hook, and the coordinator ships each payload's action
+inside its lease.
+
+The backend never touches a result store.  The driver's cache wrap
+(installed by the executor under :func:`~repro.store.scope.store_scope`)
+partitions hits from misses before the batch reaches the fabric and
+writes every returned outcome back, so workers need nothing but the
+coordinator URL.
 
 Configuration is ambient, like every other campaign knob:
 :func:`fabric_scope` installs a :class:`FabricConfig` (the CLI's
@@ -35,9 +44,9 @@ import time
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.fabric.coordinator import CampaignCoordinator
+from repro.fabric.coordinator import ActionFor, CampaignCoordinator
 from repro.fabric.shard import DEFAULT_SHARD_SIZE
 from repro.util.errors import ConfigurationError
 
@@ -55,26 +64,18 @@ class FabricConfig:
 
     ``workers`` local worker processes are spawned per map call
     (0 = none: external workers must attach to the printed coordinator
-    URL).  ``store`` is a store *reference* — a directory path or an
-    ``http://`` store-server URL — handed to every worker so completed
-    flows persist as they finish; campaigns whose workers span hosts
-    need the URL spelling.  ``extra_worker_args`` appends per-worker
-    CLI arguments by spawn index (the chaos suites use it to hand one
-    worker ``--sigkill-after N``); workers past the tuple's length get
-    none and start once the hooked ones have asked for a lease.
+    URL).
     """
 
     workers: int = 2
     host: str = "127.0.0.1"
     port: int = 0
-    store: Optional[str] = None
     shard_size: int = DEFAULT_SHARD_SIZE
     lease_timeout_s: float = 30.0
     steal_age_s: Optional[float] = None
     max_worker_restarts: int = 8
     poll_s: float = 0.05
     announce: bool = False
-    extra_worker_args: Tuple[Tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -118,11 +119,6 @@ def fabric_scope(config: Optional[FabricConfig]) -> Iterator[Optional[FabricConf
         _ambient_fabric.reset(token)
 
 
-#: longest a fleet waits for its hooked workers to ask for a lease
-#: before starting the rest anyway
-_HOOKED_JOIN_TIMEOUT_S = 30.0
-
-
 class _WorkerFleet:
     """Spawn, watch, and respawn the local worker processes."""
 
@@ -132,20 +128,6 @@ class _WorkerFleet:
         self.procs: List[subprocess.Popen] = []
         self.spawned = 0
         self.restarts = 0
-        self.exits: Dict[int, int] = {}  # exit status -> count
-
-    def _spawn_command(self, spawn_index: int) -> List[str]:
-        command = [
-            sys.executable,
-            "-m",
-            "repro.fabric",
-            "work",
-            "--coordinator",
-            self.url,
-        ]
-        if spawn_index < len(self.config.extra_worker_args):
-            command.extend(self.config.extra_worker_args[spawn_index])
-        return command
 
     def _environment(self) -> Dict[str, str]:
         # The spawned interpreter must resolve the same repro package
@@ -159,36 +141,19 @@ class _WorkerFleet:
             )
         return env
 
-    def spawn(self, workers_seen: Callable[[], int]) -> None:
-        """Launch the configured workers.
+    def spawn(self) -> None:
+        """Launch the configured workers."""
+        for _ in range(self.config.workers):
+            self._launch()
 
-        Workers given ``extra_worker_args`` (chaos hooks such as
-        ``--sigkill-after``) start first, and the rest only once each
-        of them has asked the coordinator for a lease (``workers_seen``
-        counts those), so a drill's hook fires on work its worker
-        really got rather than on whichever process won the import
-        race.  A fleet without hooks starts all at once.
-        """
-        hooked = min(len(self.config.extra_worker_args), self.config.workers)
-        for _ in range(hooked):
-            self._launch(self.spawned)
-        deadline = time.monotonic() + _HOOKED_JOIN_TIMEOUT_S
-        while (
-            workers_seen() < hooked
-            and time.monotonic() < deadline
-            and all(proc.poll() is None for proc in self.procs)
-        ):
-            time.sleep(0.01)
-        for _ in range(self.config.workers - hooked):
-            self._launch(self.spawned)
-
-    def _launch(self, spawn_index: int) -> None:
+    def _launch(self) -> None:
         # stdout is silenced: campaign drivers print byte-compared
         # report JSON on *their* stdout, and worker chatter belongs to
         # stderr anyway.
         self.procs.append(
             subprocess.Popen(
-                self._spawn_command(spawn_index),
+                [sys.executable, "-m", "repro.fabric", "work",
+                 "--coordinator", self.url],
                 env=self._environment(),
                 stdout=subprocess.DEVNULL,
             )
@@ -198,9 +163,7 @@ class _WorkerFleet:
     def tick(self) -> None:
         """Reap dead workers; respawn while the restart budget lasts.
 
-        Respawns are plain fresh workers (no ``extra_worker_args`` —
-        a chaos worker told to die once should not die forever): the
-        fabric's answer to a crash is "attach another worker", and
+        The fabric's answer to a crash is "attach another worker", and
         this is exactly that, automated.  Called only while the
         campaign is still incomplete, so *any* worker exit here —
         SIGKILL, crash status, even a clean 0 — means a worker the
@@ -211,7 +174,6 @@ class _WorkerFleet:
             if status is None:
                 continue
             self.procs.pop(position)
-            self.exits[status] = self.exits.get(status, 0) + 1
             if self.restarts < self.config.max_worker_restarts:
                 self.restarts += 1
                 print(
@@ -221,7 +183,7 @@ class _WorkerFleet:
                     file=sys.stderr,
                     flush=True,
                 )
-                self._launch(spawn_index=len(self.config.extra_worker_args))
+                self._launch()
             break  # list mutated; next tick resumes the sweep
         if not self.procs and self.restarts >= self.config.max_worker_restarts:
             raise RuntimeError(
@@ -269,7 +231,13 @@ class FabricBackend:
         fn: Callable,
         items: Sequence,
         progress: Optional[Callable[[int], None]] = None,
+        action_for: Optional[ActionFor] = None,
     ) -> List:
+        """Run ``items`` on the fabric; outcomes in batch order.
+
+        ``action_for`` is the supervisor's chaos hook, called per
+        payload with the lease's execution index.
+        """
         items = list(items)
         if not items:
             # The warm-cache fast path: an all-hits batch reaches the
@@ -284,7 +252,7 @@ class FabricBackend:
             shard_size=config.shard_size,
             lease_timeout_s=config.lease_timeout_s,
             steal_age_s=config.steal_age_s,
-            store=config.store,
+            action_for=action_for,
         )
         with coordinator.serving(config.host, config.port) as url:
             if config.announce or config.workers == 0:
@@ -292,7 +260,7 @@ class FabricBackend:
                 # external workers need it to attach.
                 print(f"fabric: coordinator at {url}", file=sys.stderr, flush=True)
             fleet = _WorkerFleet(url, config)
-            fleet.spawn(lambda: len(coordinator.progress_info()["workers_seen"]))
+            fleet.spawn()
             try:
                 outcomes = coordinator.wait(
                     progress,

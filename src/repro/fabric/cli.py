@@ -10,7 +10,7 @@ Usage::
 
     # Terminal 2..N — attach any number of workers, any time:
     python -m repro.fabric work --coordinator http://host:port
-        [--worker-id NAME] [--poll-s S] [--sigkill-after N]
+        [--worker-id NAME] [--poll-s S]
 
     # Or one command, coordinator + N local workers:
     python -m repro.fabric run [--workers 2] [...same campaign flags]
@@ -20,9 +20,8 @@ Usage::
 :class:`~repro.robustness.campaign.CampaignReport` JSON on stdout —
 byte-identical to ``generate_dataset(workers=1)`` of the same
 parameters, which is the fabric's core contract and what the CI gate
-diffs.  ``--sigkill-after`` is the chaos hook: the worker SIGKILLs
-itself after N simulated flows, which is how the kill-and-rejoin
-suites produce a mid-shard corpse on demand.
+diffs.  ``--store`` belongs to the driver: it alone reads and writes
+results, so a worker needs nothing but the coordinator URL.
 """
 
 from __future__ import annotations
@@ -44,8 +43,9 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cc", default="reno",
                         help="congestion control variant (default reno)")
     parser.add_argument("--store", default=None,
-                        help="result store: a directory or an http:// "
-                             "store-server URL (workers share it)")
+                        help="result store the driver reads and writes: a "
+                             "directory or an http:// store-server URL "
+                             "(workers never touch it)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="coordinator bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=0,
@@ -80,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="stable worker name (default host-pid)")
     work.add_argument("--poll-s", type=float, default=0.2,
                       help="idle poll interval in seconds (default 0.2)")
-    work.add_argument("--sigkill-after", type=int, default=None,
-                      help="chaos: SIGKILL self after N simulated flows")
 
     run = sub.add_parser(
         "run", help="run a Table-I campaign with local fabric workers"
@@ -101,7 +99,6 @@ def _run_campaign(args: argparse.Namespace, workers: int) -> int:
         workers=workers,
         host=args.host,
         port=args.port,
-        store=args.store,
         shard_size=args.shard_size,
         lease_timeout_s=args.lease_timeout_s,
         steal_age_s=args.steal_age_s,
@@ -132,7 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.coordinator,
             worker_id=args.worker_id,
             poll_s=args.poll_s,
-            sigkill_after=args.sigkill_after,
         )
         return worker.run()
 

@@ -1,31 +1,34 @@
-"""The campaign coordinator: lease server, delta ingester, merger.
+"""The campaign coordinator: lease server and merger.
 
 One coordinator owns one batch of executor payloads.  It plans the
 batch into shards (:class:`~repro.fabric.shard.ShardPlan`), serves
 leases over HTTP to any number of workers, ingests each completed
-shard's pickled :class:`~repro.exec.executor.FlowOutcome` list plus its
-:class:`~repro.telemetry.campaign.CampaignTelemetry` delta, and keys
-every accepted outcome by payload *position* — so when the campaign
-drains, :meth:`wait` returns the outcome list in the original batch
-order and the executor's spec-order report/telemetry merge produces
-bytes identical to a serial run, regardless of how many workers ran,
-died, or joined along the way.
+shard's pickled :class:`~repro.exec.executor.FlowOutcome` list, and
+keys every accepted outcome by payload *position* — so when the
+campaign drains, :meth:`wait` returns the outcome list in the original
+batch order and the executor's spec-order report/telemetry merge
+produces bytes identical to a serial run, regardless of how many
+workers ran, died, or joined along the way.
 
 The wire protocol is four JSON endpoints (pickles travel base64-inside
 JSON — payloads and outcomes are arbitrary Python objects; the fabric
 trusts its workers exactly as much as a process pool trusts its
 children)::
 
-    GET  /campaign  -> {campaign, total_payloads, shards, store, fn}
-    POST /lease     -> {status: lease|wait|done, shard, epoch, payloads}
+    GET  /campaign  -> {campaign, total_payloads, shards, fn}
+    POST /lease     -> {status: lease|wait|done, shard, epoch, payloads, actions}
     POST /complete  -> {accepted, done}
-    GET  /progress  -> {completed, total, shards_done, shards, ...}
+    GET  /progress  -> {completed, total, shards_done, shards, telemetry, ...}
 
 Completion acceptance is the lease table's epoch rule: one accepted
-completion per shard, ever.  The telemetry stream on ``/progress`` is
-a *live* aggregate (merge order is arrival order — counter sums are
-commutative); the byte-stable artefact is still assembled by the
-executor from the returned outcomes in spec order.
+completion per shard, ever.  A lease's ``actions`` are the driver
+supervisor's chaos schedule, one per payload, keyed on the flow and
+the lease's execution index ``epoch - 1`` — so a scheduled crash lands
+on a named flow's first run, whichever worker leased it, and the
+re-lease runs clean.  The telemetry on ``/progress`` is a *live*
+aggregate of the accepted outcomes (merge order is arrival order —
+counter sums are commutative); the byte-stable artefact is still
+assembled by the executor from the returned outcomes in spec order.
 """
 
 from __future__ import annotations
@@ -36,15 +39,17 @@ import json
 import pickle
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.executor import FlowOutcome
 from repro.fabric.shard import DEFAULT_SHARD_SIZE, LeaseTable, ShardPlan
-from repro.store.remote import _QuietThreadingHTTPServer
+from repro.store.remote import _Handler, _QuietThreadingHTTPServer
 from repro.telemetry.campaign import CampaignTelemetry
 
 __all__ = ["CampaignCoordinator"]
+
+#: the supervisor's chaos hook: (payload, execution index) -> action
+ActionFor = Callable[[Tuple, int], Optional[Tuple]]
 
 
 def _pickle_b64(obj) -> str:
@@ -55,28 +60,15 @@ def _unpickle_b64(data: str):
     return pickle.loads(base64.b64decode(data))
 
 
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _CoordinatorHandler(_Handler):
     server_version = "repro-fabric"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
 
     @property
     def _coordinator(self) -> "CampaignCoordinator":
         return self.server.coordinator  # type: ignore[attr-defined]
 
-    def _respond_json(self, status: int, payload: Dict[str, object]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length", "0"))
-        return json.loads(self.rfile.read(length) or b"{}")
+        return json.loads(self._read_body() or b"{}")
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
         if self.path == "/campaign":
@@ -111,7 +103,7 @@ class CampaignCoordinator:
         shard_size: int = DEFAULT_SHARD_SIZE,
         lease_timeout_s: float = 30.0,
         steal_age_s: Optional[float] = None,
-        store: Optional[str] = None,
+        action_for: Optional[ActionFor] = None,
         campaign_id: str = "campaign",
     ) -> None:
         self.fn = fn
@@ -122,20 +114,17 @@ class CampaignCoordinator:
             lease_timeout_s=lease_timeout_s,
             steal_age_s=steal_age_s,
         )
-        #: store reference workers should read/write through (a
-        #: directory only works for same-host workers; an http:// URL
-        #: works anywhere) — None runs the fabric uncached
-        self.store = store
+        #: the driver supervisor's chaos hook; None schedules no actions
+        self.action_for = action_for
         self.campaign_id = campaign_id
         self._results: List[Optional[FlowOutcome]] = [None] * len(self.payloads)
         self._completed = 0
-        #: live telemetry aggregate, merged per accepted shard in
-        #: arrival order (commutative sums; display only — the
-        #: byte-stable artefact is merged in spec order by the executor)
+        #: live telemetry aggregate over accepted outcomes, in arrival
+        #: order (commutative sums; display only — the byte-stable
+        #: artefact is merged in spec order by the executor)
         self.telemetry = CampaignTelemetry()
-        self._telemetry_shards = 0
         self._lock = threading.Lock()
-        self._http: Optional[ThreadingHTTPServer] = None
+        self._http: Optional[_QuietThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         #: workers ever seen on /lease, for progress reporting
         self._workers_seen: Dict[str, int] = {}
@@ -147,7 +136,6 @@ class CampaignCoordinator:
             "campaign": self.campaign_id,
             "total_payloads": len(self.payloads),
             "shards": self.plan.shard_count,
-            "store": self.store,
             "fn": _pickle_b64(self.fn),
         }
 
@@ -159,15 +147,18 @@ class CampaignCoordinator:
             lease = self.leases.claim(worker)
             if lease is None:
                 return {"status": "wait"}
-            positions = self.plan.shards[lease.shard]
+            payloads = [self.payloads[p] for p in self.plan.shards[lease.shard]]
+            execution = lease.epoch - 1
             return {
                 "status": "lease",
                 "shard": lease.shard,
                 "epoch": lease.epoch,
-                "positions": list(positions),
-                "payloads": _pickle_b64(
-                    [self.payloads[position] for position in positions]
-                ),
+                "payloads": _pickle_b64(payloads),
+                "actions": [
+                    None if self.action_for is None
+                    else self.action_for(payload, execution)
+                    for payload in payloads
+                ],
             }
 
     def complete(self, data: Dict[str, object]) -> Dict[str, object]:
@@ -181,10 +172,10 @@ class CampaignCoordinator:
                 for position, outcome in zip(positions, outcomes):
                     self._results[position] = outcome
                     self._completed += 1
-                delta = data.get("telemetry")
-                if delta:
-                    self.telemetry.merge(CampaignTelemetry.from_mapping(delta))
-                    self._telemetry_shards += 1
+                    # the fabric maps arbitrary fns; only a FlowOutcome
+                    # with a result has counters to summarise
+                    if isinstance(outcome, FlowOutcome) and outcome.result is not None:
+                        self.telemetry.merge_outcome(outcome)
             return {"accepted": accepted, "done": self.leases.done}
 
     def progress_info(self) -> Dict[str, object]:
@@ -199,7 +190,6 @@ class CampaignCoordinator:
                 "leases_expired": self.leases.expired,
                 "leases_stolen": self.leases.stolen,
                 "completions_rejected": self.leases.rejected,
-                "telemetry_shards": self._telemetry_shards,
                 "telemetry": self.telemetry.to_dict(),
             }
 

@@ -14,9 +14,9 @@ Two halves, one wire format:
 
 * :class:`RemoteStore` — a client satisfying the ``ResultStore``
   read/write surface (``get`` / ``put`` / ``load`` / ``quarantine`` /
-  ``stats``), so :class:`~repro.store.backend.CachedBackend`,
-  :func:`~repro.store.scope.store_scope`, and the fabric workers can
-  point at ``http://host:port`` wherever they accept a store.  One
+  ``stats``), so :class:`~repro.store.backend.CachedBackend` and
+  :func:`~repro.store.scope.store_scope` can point at
+  ``http://host:port`` wherever they accept a store.  One
   ``HTTPConnection`` is kept per client and reused across requests;
   transient transport failures get bounded retries with the same
   seeded-jitter exponential backoff campaigns use
@@ -36,6 +36,10 @@ The endpoints::
 
 Keys are 64 lowercase hex characters (sha256); anything else is a 400
 before the store is touched.
+
+The HTTP plumbing itself — the handler base and the kept-alive,
+retrying client transport — is shared with the fabric coordinator
+(:mod:`repro.fabric.coordinator`) and its workers.
 """
 
 from __future__ import annotations
@@ -65,6 +69,13 @@ __all__ = ["RemoteStore", "StoreServer", "open_store"]
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
+#: Transport retry schedule: two retries on top of the first attempt,
+#: 50 ms seeded-jitter exponential backoff.  Deliberately short — the
+#: circuit breaker above this layer handles a server that is *down*;
+#: these retries only smooth over a connection reset or a restart blip.
+_TRANSPORT_RETRY = RetryPolicy(max_retries=2, backoff_base_s=0.05)
+
+
 class _QuietThreadingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that doesn't traceback on vanished clients.
 
@@ -84,31 +95,30 @@ class _QuietThreadingHTTPServer(ThreadingHTTPServer):
         if isinstance(error, (BrokenPipeError, ConnectionResetError, TimeoutError)):
             return
         print(
-            f"store server: error handling {client_address}: "
+            f"http server: error handling {client_address}: "
             f"{type(error).__name__}: {error}",
             file=_sys.stderr,
             flush=True,
         )
 
-#: Transport retry schedule: two retries on top of the first attempt,
-#: 50 ms seeded-jitter exponential backoff.  Deliberately short — the
-#: circuit breaker above this layer handles a server that is *down*;
-#: these retries only smooth over a connection reset or a restart blip.
-_TRANSPORT_RETRY = RetryPolicy(max_retries=2, backoff_base_s=0.05)
 
+class _Handler(BaseHTTPRequestHandler):
+    """The handler base both HTTP endpoints (store, coordinator) share.
 
-# -- server ------------------------------------------------------------
+    Keep-alive HTTP/1.1 with quiet logging and a Content-Length
+    responder, so a client's kept connection knows where each body
+    ends.  ``disable_nagle_algorithm`` matters: a response goes out as
+    a header write then a body write, and with Nagle on the body waits
+    for the client's delayed ACK of the headers — a 40 ms stall on
+    every request.
+    """
 
-
-class _StoreHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    server_version = "repro-store"
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging would swamp campaign stderr
 
-    # Every handler answers with Content-Length so the client's kept
-    # connection knows where the body ends.
     def _respond(
         self, status: int, body: bytes, content_type: str = "application/json"
     ) -> None:
@@ -120,6 +130,107 @@ class _StoreHandler(BaseHTTPRequestHandler):
 
     def _respond_json(self, status: int, payload: Dict[str, object]) -> None:
         self._respond(status, json.dumps(payload, sort_keys=True).encode())
+
+    def _read_body(self) -> bytes:
+        return self.rfile.read(int(self.headers.get("Content-Length", "0")))
+
+
+class _Transport:
+    """One kept-alive HTTP connection with bounded retries.
+
+    The client half of both endpoints: :class:`RemoteStore` talks to a
+    store server through one, a fabric worker to its coordinator.
+    """
+
+    def __init__(
+        self,
+        url: str,
+        *,
+        timeout_s: float = 10.0,
+        retry_policy: RetryPolicy = _TRANSPORT_RETRY,
+    ) -> None:
+        parts = urlsplit(url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"URL must be http://host:port, got {url!r}")
+        self.url = url.rstrip("/")
+        self.host = parts.hostname
+        self.port = parts.port or 80
+        self.timeout_s = timeout_s
+        self.retry_policy = retry_policy
+        self._conn: Optional[http.client.HTTPConnection] = None
+
+    # A client crossing a process boundary must not drag a socket along.
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state["_conn"] = None
+        return state
+
+    def _connection(self) -> http.client.HTTPConnection:
+        if self._conn is None:
+            self._conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+        return self._conn
+
+    def close(self) -> None:
+        if self._conn is not None:
+            try:
+                self._conn.close()
+            except Exception:  # pragma: no cover - close is best-effort
+                pass
+            self._conn = None
+
+    def request(
+        self, method: str, path: str, body: Optional[bytes] = None, *, seed: int = 0
+    ) -> Tuple[int, bytes]:
+        """``(status, body)`` with connection reuse and bounded retries.
+
+        Retries cover transport-level failures and 5xx responses; the
+        backoff schedule is :meth:`RetryPolicy.backoff_for_attempt`
+        seeded per key, so a thousand workers hammering a restarting
+        server do not retry in lockstep.  4xx responses are returned to
+        the caller — the request is wrong, not the wire.
+        """
+        last_error: Optional[Exception] = None
+        for attempt in range(self.retry_policy.max_attempts):
+            if attempt:
+                time.sleep(self.retry_policy.backoff_for_attempt(seed, attempt))
+            try:
+                conn = self._connection()
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                payload = response.read()
+            except (OSError, http.client.HTTPException) as error:
+                self.close()
+                last_error = error
+                continue
+            if response.status >= 500:
+                last_error = OSError(
+                    f"server error {response.status} for {method} {path}"
+                )
+                continue
+            return response.status, payload
+        raise OSError(
+            f"{self.url} unreachable after "
+            f"{self.retry_policy.max_attempts} attempts: {last_error}"
+        )
+
+    def request_json(
+        self, method: str, path: str, payload: Optional[Dict[str, object]] = None
+    ) -> Dict[str, object]:
+        """A JSON request that must answer 200 with a JSON body."""
+        body = None if payload is None else json.dumps(payload).encode()
+        status, raw = self.request(method, path, body)
+        if status != 200:
+            raise OSError(f"{method} {self.url}{path} failed with {status}")
+        return json.loads(raw)
+
+
+# -- server ------------------------------------------------------------
+
+
+class _StoreHandler(_Handler):
+    server_version = "repro-store"
 
     def _entry_key(self, prefix: str) -> Optional[str]:
         if not self.path.startswith(prefix):
@@ -164,8 +275,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
                 self._respond_json(404, {"error": "unknown path"})
             return
         self._count("put")
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length)
+        raw = self._read_body()
         # Validate before landing: a transport error or a lying client
         # must never plant an entry that reads back corrupt.
         try:
@@ -274,81 +384,13 @@ class RemoteStore:
         timeout_s: float = 10.0,
         retry_policy: RetryPolicy = _TRANSPORT_RETRY,
     ) -> None:
-        parts = urlsplit(url)
-        if parts.scheme != "http" or not parts.hostname:
-            raise ValueError(f"remote store URL must be http://host:port, got {url!r}")
-        self.url = url.rstrip("/")
-        self.host = parts.hostname
-        self.port = parts.port or 80
-        self.timeout_s = timeout_s
-        self.retry_policy = retry_policy
-        #: HTTP requests actually sent (retries included) — the
-        #: benchmark's client-side round-trip ledger.
-        self.round_trips = 0
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._transport = _Transport(
+            url, timeout_s=timeout_s, retry_policy=retry_policy
+        )
+        self.url = self._transport.url
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RemoteStore({self.url!r})"
-
-    # A client crossing a spawn boundary (fabric payloads carry store
-    # refs) must not drag a socket along.
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_conn"] = None
-        return state
-
-    # -- transport -----------------------------------------------------
-
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s
-            )
-        return self._conn
-
-    def _drop_connection(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except Exception:  # pragma: no cover - close is best-effort
-                pass
-            self._conn = None
-
-    def _request(
-        self, method: str, path: str, body: Optional[bytes] = None, *, seed: int = 0
-    ) -> Tuple[int, bytes]:
-        """``(status, body)`` with connection reuse and bounded retries.
-
-        Retries cover transport-level failures and 5xx responses; the
-        backoff schedule is :meth:`RetryPolicy.backoff_for_attempt`
-        seeded per key, so a thousand workers hammering a restarting
-        server do not retry in lockstep.  4xx responses are returned to
-        the caller — the request is wrong, not the wire.
-        """
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retry_policy.max_attempts):
-            if attempt:
-                time.sleep(self.retry_policy.backoff_for_attempt(seed, attempt))
-            try:
-                conn = self._connection()
-                self.round_trips += 1
-                conn.request(method, path, body=body)
-                response = conn.getresponse()
-                payload = response.read()
-            except (OSError, http.client.HTTPException) as error:
-                self._drop_connection()
-                last_error = error
-                continue
-            if response.status >= 500:
-                last_error = OSError(
-                    f"store server error {response.status} for {method} {path}"
-                )
-                continue
-            return response.status, payload
-        raise OSError(
-            f"remote store {self.url} unreachable after "
-            f"{self.retry_policy.max_attempts} attempts: {last_error}"
-        )
 
     @staticmethod
     def _seed_for(key: str) -> int:
@@ -360,7 +402,9 @@ class RemoteStore:
         """The stored payload, or None when absent / stale; raises
         :class:`CorruptEntryError` on integrity failure (strict read,
         mirroring :meth:`ResultStore.load`)."""
-        status, raw = self._request("GET", f"/entry/{key}", seed=self._seed_for(key))
+        status, raw = self._transport.request(
+            "GET", f"/entry/{key}", seed=self._seed_for(key)
+        )
         if status == 404:
             return None
         if status != 200:
@@ -381,7 +425,7 @@ class RemoteStore:
 
     def put(self, key: str, payload: Dict[str, object]) -> str:
         raw = encode_entry(key, payload)
-        status, body = self._request(
+        status, body = self._transport.request(
             "PUT", f"/entry/{key}", body=raw, seed=self._seed_for(key)
         )
         if status != 200:
@@ -392,7 +436,7 @@ class RemoteStore:
         return f"{self.url}/entry/{key}"
 
     def quarantine(self, key: str) -> Optional[str]:
-        status, _ = self._request(
+        status, _ = self._transport.request(
             "POST", f"/quarantine/{key}", seed=self._seed_for(key)
         )
         if status == 404:
@@ -402,10 +446,7 @@ class RemoteStore:
         return f"{self.url}/quarantine/{key}"
 
     def stats(self) -> StoreStats:
-        status, raw = self._request("GET", "/stats")
-        if status != 200:
-            raise OSError(f"remote store stats failed with {status}")
-        data = json.loads(raw)
+        data = self._transport.request_json("GET", "/stats")
         return StoreStats(
             root=str(data.get("root", self.url)),
             entries=int(data.get("entries", 0)),
@@ -416,20 +457,20 @@ class RemoteStore:
 
     def healthy(self) -> bool:
         """One non-retried probe; False instead of raising."""
+        probe = _Transport(
+            self.url,
+            timeout_s=self._transport.timeout_s,
+            retry_policy=RetryPolicy(max_retries=0),
+        )
         try:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s
-            )
-            try:
-                conn.request("GET", "/healthz")
-                return conn.getresponse().status == 200
-            finally:
-                conn.close()
-        except (OSError, http.client.HTTPException):
+            return probe.request("GET", "/healthz")[0] == 200
+        except OSError:
             return False
+        finally:
+            probe.close()
 
     def close(self) -> None:
-        self._drop_connection()
+        self._transport.close()
 
 
 # -- opening stores by reference ---------------------------------------
@@ -443,8 +484,7 @@ def open_store(
     ``http://host:port`` opens a :class:`RemoteStore`; anything else is
     a directory path for a local :class:`ResultStore`; an already-open
     store passes through.  This is the single point where "a store" is
-    spelled, so every ``--store`` flag and fabric config field accepts
-    both spellings.
+    spelled, so every ``--store`` flag accepts both spellings.
     """
     if isinstance(ref, (ResultStore, RemoteStore)):
         return ref

@@ -8,10 +8,12 @@ full backend with spawned worker subprocesses.
 """
 
 import pickle
+import time
 
 import pytest
 
 from repro.exec import Executor, FlowSpec
+from repro.exec.executor import _execute_payload
 from repro.fabric import (
     CampaignCoordinator,
     FabricBackend,
@@ -23,7 +25,9 @@ from repro.fabric import (
 from repro.hsr import CHINA_MOBILE, CHINA_TELECOM, hsr_scenario
 from repro.robustness.campaign import RetryPolicy
 from repro.store import ResultStore, store_scope
-from repro.util.errors import ConfigurationError
+from repro.store.remote import _Transport
+from repro.telemetry.campaign import CampaignTelemetry
+from repro.util.errors import ChaosError, ConfigurationError
 
 
 def _specs(n=4, duration=3.0):
@@ -73,8 +77,73 @@ class TestCoordinatorAndWorker:
         with coordinator.serving() as url:
             pass  # server torn down; url now points at nothing
         worker = FabricWorker(url, worker_id="orphan", poll_s=0.01)
-        worker.client.RETRIES = 1
         assert worker.run() == 1
+
+    def test_lease_carries_actions_keyed_on_the_execution_index(self):
+        """The chaos schedule rides inside the lease: one action per
+        payload, asked for at execution ``epoch - 1``, so the re-lease
+        of a crashed shard runs its flows' next execution."""
+        asked = []
+
+        def action_for(payload, execution):
+            asked.append((payload[0], execution))
+            return ("crash",) if (payload[0], execution) == (1, 0) else None
+
+        payloads = [(0, 10), (1, 11)]
+        coordinator = CampaignCoordinator(
+            _double, payloads, shard_size=2, lease_timeout_s=0.01,
+            action_for=action_for,
+        )
+        first = coordinator.lease("a")
+        assert first["epoch"] == 1
+        assert first["actions"] == [None, ("crash",)]
+        time.sleep(0.02)  # the lease expires unreturned, as after a crash
+        second = coordinator.lease("b")
+        assert second["epoch"] == 2
+        assert second["actions"] == [None, None]
+        assert asked == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+    def test_worker_applies_leased_actions_through_the_trampoline(self):
+        coordinator = CampaignCoordinator(
+            _double, [(0, 1), (1, 2)], shard_size=2,
+            action_for=lambda payload, execution: (
+                ("raise", "boom") if payload[0] == 1 else None
+            ),
+        )
+        with coordinator.serving() as url:
+            worker = FabricWorker(url, worker_id="victim", poll_s=0.01)
+            with pytest.raises(ChaosError, match="boom"):
+                worker.run()
+        assert worker.executed == 1  # the flow before the victim ran
+
+    def test_progress_telemetry_is_derived_from_accepted_outcomes(self):
+        specs = _specs(2, duration=2.0)
+        payloads = [(i, spec, RetryPolicy()) for i, spec in enumerate(specs)]
+        coordinator = CampaignCoordinator(_execute_payload, payloads, shard_size=4)
+        with coordinator.serving() as url:
+            assert FabricWorker(url, worker_id="t", poll_s=0.01).run() == 0
+            outcomes = coordinator.wait(timeout_s=30.0)
+            progress = _Transport(url).request_json("GET", "/progress")
+        expected = CampaignTelemetry()
+        for outcome in outcomes:
+            expected.merge_outcome(outcome)
+        assert progress["telemetry"] == expected.to_dict()
+        assert progress["telemetry"]["flows"] == 2
+
+    def test_progress_requests_do_not_stall(self):
+        """Fifty sequential ``GET /progress`` over one kept connection.
+        A handler that leaves Nagle on stalls each response ~40 ms on
+        the client's delayed ACK (about 2 s in all)."""
+        coordinator = CampaignCoordinator(_double, [(0, 1)])
+        with coordinator.serving() as url:
+            transport = _Transport(url)
+            transport.request_json("GET", "/progress")  # connect
+            start = time.perf_counter()
+            for _ in range(50):
+                transport.request_json("GET", "/progress")
+            elapsed = time.perf_counter() - start
+            transport.close()
+        assert elapsed < 0.5, f"50 /progress requests took {elapsed:.2f}s"
 
     def test_wait_timeout_raises(self):
         coordinator = CampaignCoordinator(_double, [(0, 1)])
@@ -101,7 +170,7 @@ class TestFabricBackend:
     def test_store_backed_fabric_warm_rerun_spawns_nothing(self, tmp_path):
         specs = _specs(3)
         store = ResultStore(tmp_path / "store")
-        config = FabricConfig(workers=1, shard_size=2, store=str(store.root))
+        config = FabricConfig(workers=1, shard_size=2)
         serial = Executor.for_workers(1).run(specs)
         with fabric_scope(config), store_scope(store):
             cold = Executor.for_workers("fabric").run(specs)

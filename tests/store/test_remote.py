@@ -9,6 +9,7 @@ aborted campaign.
 
 import http.client
 import json
+import time
 
 import pytest
 
@@ -70,9 +71,20 @@ class TestRoundTrip:
     def test_connection_is_reused_across_requests(self, server):
         client = RemoteStore(server.url)
         client.put(KEY, PAYLOAD)
-        first = client._conn
+        first = client._transport._conn
         client.load(KEY)
-        assert client._conn is first
+        assert client._transport._conn is first
+
+    def test_sequential_misses_do_not_stall(self, server):
+        """Fifty sequential misses over one kept connection.  A handler
+        that leaves Nagle on stalls each response ~40 ms on the
+        client's delayed ACK (about 2 s in all)."""
+        client = RemoteStore(server.url)
+        start = time.perf_counter()
+        for _ in range(50):
+            assert client.get(OTHER) == (None, False)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"50 misses took {elapsed:.2f}s"
 
 
 class TestIntegrity:
@@ -210,7 +222,7 @@ class TestPickling:
 
         client = RemoteStore(server.url)
         client.put(KEY, PAYLOAD)
-        assert client._conn is not None
+        assert client._transport._conn is not None
         clone = pickle.loads(pickle.dumps(client))
-        assert clone._conn is None
+        assert clone._transport._conn is None
         assert clone.load(KEY) == PAYLOAD

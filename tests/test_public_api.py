@@ -9,9 +9,13 @@ Guards the advertised API two ways:
   ``repro.telemetry``, ``repro.store``, ``repro.scenarios``) are pinned
   verbatim.  Adding or removing a public name is an API change and must
   update the snapshot here — the diff *is* the review artefact.
+* **Knobs** — the fabric's configuration fields and worker parameters
+  are pinned the same way.
 """
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -370,3 +374,31 @@ class TestEndToEndSurface:
         summary = summarise(run_flow(ConnectionConfig(duration=5.0)))
         assert summary.get("packets_sent") > 0
         assert summary.get("events_fired") > 0
+
+
+class TestFabricKnobs:
+    """Workers are pure executors: no store reference, no kill hook."""
+
+    def test_fabric_config_fields(self):
+        from repro.fabric import FabricConfig
+
+        assert [field.name for field in dataclasses.fields(FabricConfig)] == [
+            "workers",
+            "host",
+            "port",
+            "shard_size",
+            "lease_timeout_s",
+            "steal_age_s",
+            "max_worker_restarts",
+            "poll_s",
+            "announce",
+        ]
+
+    def test_worker_parameters(self):
+        from repro.fabric import FabricWorker
+
+        assert list(inspect.signature(FabricWorker).parameters) == [
+            "coordinator_url",
+            "worker_id",
+            "poll_s",
+        ]
