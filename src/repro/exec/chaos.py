@@ -1,13 +1,14 @@
 """Chaos testing for the execution fabric itself.
 
 :mod:`repro.robustness.faults` injects faults into the *simulated
-network* — extra loss, handoff storms — and PR 1 proved the campaign
-layer survives flows that fail.  This module is the same philosophy one
-layer up: it injects faults into the *machinery that runs the flows* —
-workers that die mid-spec, flows that hang past their deadline, store
-shards that rot on disk — so the supervision layer
-(:mod:`repro.exec.supervise`) can be tested against the exact failure
-modes it exists to absorb.
+network* — extra loss, handoff storms — and the campaign layer survives
+flows that fail.  This module is the same philosophy one layer up: it
+schedules faults in the *machinery that runs the flows* — workers that
+die mid-spec, flows that hang past their deadline, flows whose worker
+raises — so the supervision layer (:mod:`repro.exec.supervise`) can be
+tested against the exact failure modes it exists to absorb.  A plan
+only says which execution misbehaves and how; the supervisor's pool
+loop (or a fabric worker) carries the action out.
 
 Everything is seeded and wall-clock-free: a :class:`ChaosPlan` is a
 pure function of ``(seed, flow_ids)``, actions key on the *execution
@@ -26,7 +27,7 @@ purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.exec.supervise import SupervisedBackend, SupervisorPolicy
 from repro.util.errors import ConfigurationError
@@ -46,10 +47,8 @@ class ChaosPlan:
     execution indices that misbehave: ``{"flow-3": (0,)}`` under
     ``crash`` means flow-3's *first* execution kills its worker and
     every later one runs clean — which is how a plan expresses "crash
-    once, then recover".  ``corrupt_store`` names flows whose store
-    entries are truncated on disk before the batch's store reads, and
-    ``hang_s`` is how long a hung flow sleeps (pick it comfortably past
-    the supervisor's deadline).
+    once, then recover".  ``hang_s`` is how long a hung flow sleeps
+    (pick it comfortably past the supervisor's deadline).
 
     Plans are frozen values: build one explicitly for surgical tests,
     or :meth:`sample` one from a seed for breadth.
@@ -58,7 +57,6 @@ class ChaosPlan:
     crash: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
     hang: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
     raise_: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
-    corrupt_store: Tuple[str, ...] = ()
     hang_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -86,7 +84,6 @@ class ChaosPlan:
         crashes: int = 1,
         hangs: int = 1,
         raises: int = 0,
-        corruptions: int = 0,
         hang_s: float = 30.0,
     ) -> "ChaosPlan":
         """Draw a plan over ``flow_ids`` deterministically from ``seed``.
@@ -94,11 +91,9 @@ class ChaosPlan:
         Victims are chosen by ranking flows under a seeded hash —
         independent of list order duplicates aside — and each victim
         misbehaves on execution 0 (so one retry recovers it).  The
-        pools are disjoint: a flow gets at most one scheduled action,
-        and corruption victims are drawn after the action victims so a
-        corrupted entry belongs to an otherwise healthy flow.
+        pools are disjoint: a flow gets at most one scheduled action.
         """
-        total = crashes + hangs + raises + corruptions
+        total = crashes + hangs + raises
         if total > len(flow_ids):
             raise ConfigurationError(
                 f"plan wants {total} victims from {len(flow_ids)} flows"
@@ -109,13 +104,11 @@ class ChaosPlan:
         )
         crash_ids = ranked[:crashes]
         hang_ids = ranked[crashes : crashes + hangs]
-        raise_ids = ranked[crashes + hangs : crashes + hangs + raises]
-        corrupt_ids = ranked[crashes + hangs + raises : total]
+        raise_ids = ranked[crashes + hangs : total]
         return cls(
             crash={flow_id: (0,) for flow_id in crash_ids},
             hang={flow_id: (0,) for flow_id in hang_ids},
             raise_={flow_id: (0,) for flow_id in raise_ids},
-            corrupt_store=tuple(corrupt_ids),
             hang_s=hang_s,
         )
 
@@ -147,8 +140,7 @@ class ChaosPlan:
             f"chaos plan: {sum(map(len, self.crash.values()))} crashes, "
             f"{sum(map(len, self.hang.values()))} hangs "
             f"({self.hang_s:g}s), "
-            f"{sum(map(len, self.raise_.values()))} raises, "
-            f"{len(self.corrupt_store)} corrupted entries"
+            f"{sum(map(len, self.raise_.values()))} raises"
         )
 
 
@@ -160,10 +152,9 @@ class ChaosBackend(SupervisedBackend):
     flow dies exactly once and then completes — the recovery path is
     exercised, not just the failure.  Over the fabric the execution
     index is the shard lease's ``epoch - 1``, and the action rides
-    inside the lease to whichever worker draws it.  Store corruption
-    happens in :meth:`prepare_batch`, which a wrapping
-    :class:`~repro.store.backend.CachedBackend` invokes *before* its
-    store reads: the campaign genuinely reads the rotten bytes.
+    inside the lease to whichever worker draws it.  The backend only
+    schedules: its two hooks name each execution's action and force
+    the batch into a pool, and the supervisor does the rest.
     """
 
     def __init__(
@@ -172,12 +163,9 @@ class ChaosBackend(SupervisedBackend):
         inner: Optional[object] = None,
         *,
         policy: Optional[SupervisorPolicy] = None,
-        store: Optional[object] = None,
     ) -> None:
         super().__init__(inner, policy=policy)
         self.plan = plan
-        self._store = store
-        self.corrupted: Dict[str, str] = {}  # flow_id -> corrupted key
 
     @property
     def name(self) -> str:
@@ -188,40 +176,3 @@ class ChaosBackend(SupervisedBackend):
 
     def _requires_pool(self, items: Sequence) -> bool:
         return self.plan.needs_pool
-
-    def prepare_batch(self, items: Sequence) -> None:
-        """Truncate the store entries the plan marks for corruption.
-
-        Idempotent (truncating twice is truncating); a miss — no store
-        in play, or no entry yet for that flow — is silently fine, so
-        cold runs of a corrupting plan still complete.
-        """
-        if not self.plan.corrupt_store:
-            return
-        store = self._store
-        if store is None:
-            from repro.store.scope import current_store_config
-
-            config = current_store_config()
-            store = config.store if config is not None else None
-        if store is None:
-            return
-        from repro.store.keys import UnhashableSpecError, flow_key
-
-        targets = set(self.plan.corrupt_store)
-        for payload in items:
-            spec = payload[1]
-            if spec.flow_id not in targets:
-                continue
-            try:
-                key = flow_key(spec)
-            except UnhashableSpecError:
-                continue
-            path = store.path_for(key)
-            if not path.exists():
-                continue
-            raw = path.read_bytes()
-            # Half a gzip frame: unreadable, hence CorruptEntryError →
-            # quarantine → recompute on the very next read.
-            path.write_bytes(raw[: max(len(raw) // 2, 1)])
-            self.corrupted[spec.flow_id] = key

@@ -201,8 +201,8 @@ def _execute_payload(
     (:data:`~repro.robustness.campaign.FAILURE_CLASSES`): a failure the
     policy classifies as ``deterministic`` (same spec, same crash —
     e.g. :class:`~repro.util.errors.ConfigurationError`) quarantines on
-    attempt 0 instead of burning the retry budget, and retried attempts
-    honour the policy's deterministic exponential backoff.
+    attempt 0 instead of burning the retry budget.  A retry runs at
+    once: a reseeded simulation gains nothing from waiting.
     """
     index, spec, policy = payload
     failures: List[FlowFailure] = []
@@ -210,10 +210,6 @@ def _execute_payload(
     for attempt in range(policy.max_attempts):
         seed = policy.seed_for_attempt(spec.seed, attempt)
         attempt_spec = spec if attempt == 0 else spec.for_attempt(seed)
-        if attempt > 0:
-            delay = policy.backoff_for_attempt(spec.seed, attempt)
-            if delay > 0.0:
-                time.sleep(delay)
         try:
             result, trace = simulate_spec(attempt_spec)
         except Exception as error:  # per-flow isolation: record, retry
@@ -343,12 +339,13 @@ class ProcessPoolBackend:
 class AutoBackend:
     """Measure a short serial probe, then pick serial vs pool.
 
-    The first :data:`PROBE_ITEMS` payloads always run serially and
-    their results are kept; the measured per-item cost projects the
-    serial finish time for the remainder, which is compared against a
+    The first :data:`PROBE_ITEMS` payloads run serially and their
+    results are kept; the measured per-item cost projects the serial
+    finish time for the remainder, which is compared against a
     conservative estimate of the pool path (spawn + per-worker startup,
     amortised execution).  Only when the pool projects a real win does
-    the remainder fan out.
+    the remainder fan out.  A deadline or chaos schedule skips the
+    probe and pools the whole batch (:meth:`forced_pool`).
 
     The decision changes wall-clock only, never bytes: payload order is
     preserved and every payload is a pure function of its spec, so the
@@ -424,6 +421,24 @@ class AutoBackend:
             "projected_pool_s": round(pool_estimate_s, 6),
         }
         return use_pool, effective
+
+    def forced_pool(self, items: int) -> int:
+        """Worker count for a batch that must run pooled, probe skipped.
+
+        A supervisor deadline or a chaos schedule needs every flow
+        behind a process boundary, so nothing runs inline: the whole
+        batch goes to ``min(workers, cpu_count, items)`` workers.
+        """
+        cpus = os.cpu_count() or 1
+        workers = max(min(self.workers, cpus, items), 1)
+        self.last_decision = {
+            "mode": "pool",
+            "reason": "a deadline or chaos schedule forces a pool",
+            "items": items,
+            "cpu_count": cpus,
+            "workers": workers,
+        }
+        return workers
 
     def map(
         self,

@@ -8,11 +8,13 @@ modes that an in-process ``except`` can never see:
   calls ``os._exit`` breaks the whole ``ProcessPoolExecutor``
   (``BrokenProcessPool``) and, unsupervised, loses the entire batch.
   The :class:`SupervisedBackend` catches the break, rebuilds the pool,
-  and isolates the killer spec by re-running the suspects through a
-  one-worker pool (an *ordered isolation probe*: with a single worker,
-  futures start strictly in submission order, so the first broken
-  future **is** the killer — a sharper version of bisecting the failed
-  batch).  The killer gets a :class:`~repro.robustness.campaign.FlowFailure`
+  and pins the blame inside its one pool loop.  A break with a single
+  flow in flight names the killer outright.  With several in flight
+  nobody knows whose worker died, so every one of them is rolled back
+  to the front of the queue and submission is capped at one in-flight
+  flow until each of these suspects has finished or failed: the next
+  break then has exactly one flow in flight, and that flow **is** the
+  killer.  The killer gets a :class:`~repro.robustness.campaign.FlowFailure`
   with the ``worker_crash`` failure class and is retried; innocent
   bystanders are re-run without any failure record.
 
@@ -41,7 +43,7 @@ restart budget is not exhausted, two runs of the same supervised
 campaign produce byte-identical reports.  Exhausting
 ``max_worker_restarts`` is an emergency stop (genuinely sick
 infrastructure) and sacrifices that guarantee: whatever is still
-unfinished at that moment is quarantined.
+unfinished at that moment, in flight or still queued, is quarantined.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.executor import (
     AutoBackend,
@@ -247,7 +249,7 @@ def _supervised_call(fn: Callable, payload: object, action: Optional[Tuple]):
     return fn(payload)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Tracked:
     """Supervisor-side state of one payload across executions."""
 
@@ -266,6 +268,39 @@ class _Tracked:
         return self.payload[2]
 
 
+def _by_position(tracked: _Tracked) -> int:
+    return tracked.position
+
+
+@dataclass
+class _Batch:
+    """The state of one :meth:`SupervisedBackend.map` call."""
+
+    results: List[Optional[FlowOutcome]]
+    progress: Optional[Callable[[int], None]]
+    drain: _DrainGuard
+    #: flows waiting for a pool slot; failures and aborts requeue at the front
+    pending: deque[_Tracked] = field(default_factory=deque)
+    done: int = 0
+    #: pool rebuilds so far, against ``max_worker_restarts``
+    restarts: int = 0
+
+    def complete(self, tracked: _Tracked, outcome: FlowOutcome) -> None:
+        """Merge supervisor-level failures into the outcome and file it."""
+        if tracked.failures:
+            outcome.failures = list(tracked.failures) + list(outcome.failures)
+            outcome.attempts += len(tracked.failures)
+        self.results[tracked.position] = outcome
+        self.done += 1
+        if self.progress is not None:
+            self.progress(self.done)
+
+    def requeue(self, flows: Sequence[_Tracked]) -> None:
+        """Put ``flows`` at the front of the queue, in position order."""
+        for tracked in sorted(flows, key=_by_position, reverse=True):
+            self.pending.appendleft(tracked)
+
+
 class SupervisedBackend:
     """Crash-recovering, deadline-enforcing, drain-aware backend wrapper.
 
@@ -273,15 +308,18 @@ class SupervisedBackend:
     *mode* (serial inline vs worker pool, and the worker count), while
     the supervisor owns the pool itself so it can kill and rebuild it.
     This is the only code that runs a batch: the executor's pool and
-    auto backends delegate their own ``map`` here.  Failure handling
+    auto backends delegate their own ``map`` here, and :meth:`_run_pooled`
+    is the only code that submits to a pool — first runs, retries,
+    killer isolation and deadline preemption alike.  Failure handling
     needs the executor payload contract — ``(index, FlowSpec,
     RetryPolicy)`` tuples mapped over a picklable function — which is
     exactly what :class:`~repro.exec.executor.Executor` submits; a
     batch that never fails may map any items (picklable when pooled).
 
-    The supervisor forces a (single-worker) pool when ``deadline_s`` is
-    set even for serial inner backends: preemption needs a process
-    boundary to kill across.
+    A set ``deadline_s`` or a chaos schedule forces the whole batch
+    into a pool even for serial and auto inner backends (auto then
+    skips its inline probe): preemption needs a process boundary to
+    kill across, and chaos actions only fire in a worker.
     """
 
     #: seconds between drain-flag polls while waiting on futures
@@ -315,15 +353,6 @@ class SupervisedBackend:
         backend (crash/hang actions would take the parent down)."""
         return False
 
-    def prepare_batch(self, items: Sequence) -> None:
-        """Pre-batch hook (chaos store corruption happens here).
-
-        Must be idempotent: when a :class:`~repro.store.backend.CachedBackend`
-        wraps this backend it invokes the hook *before* its store reads
-        (so injected corruption is actually seen), and ``map`` calls it
-        again for the miss batch.
-        """
-
     # -- the backend protocol ------------------------------------------
 
     def map(
@@ -343,25 +372,22 @@ class SupervisedBackend:
             # schedule: the fabric applies each payload's action in
             # whichever worker runs it.
             return self.inner.map(fn, items, progress, action_for=self._action_for)
-        results: List[Optional[FlowOutcome]] = [None] * len(items)
-        done_box = [0]
+        tracked = [
+            _Tracked(position=position, payload=payload)
+            for position, payload in enumerate(items)
+        ]
         with _DrainGuard(self.policy.drain_signals) as drain:
-            self.prepare_batch(items)
-            tracked = [
-                _Tracked(position=position, payload=payload)
-                for position, payload in enumerate(items)
-            ]
-            workers, use_pool = self._mode(fn, items, tracked, results,
-                                           progress, done_box, drain)
-            remaining = [t for t in tracked if results[t.position] is None]
+            batch = _Batch([None] * len(items), progress, drain)
+            workers, use_pool = self._mode(fn, items, tracked, batch)
+            remaining = [t for t in tracked if batch.results[t.position] is None]
             if use_pool and remaining:
-                self._run_pooled(
-                    fn, remaining, workers, drain, results, progress, done_box
-                )
-            elif remaining:
-                self._run_inline(fn, remaining, drain, results, progress, done_box)
+                self._run_pooled(fn, remaining, workers, batch)
+            else:
+                for flow in remaining:
+                    self._run_one_inline(fn, flow, batch)
         # Whatever never ran (signal drain) comes back as a skipped
         # placeholder: present, ordered, but excluded from accounting.
+        results = batch.results
         for position, payload in enumerate(items):
             if results[position] is None:
                 results[position] = self._skipped_outcome(position, payload)
@@ -370,15 +396,14 @@ class SupervisedBackend:
 
     # -- mode selection ------------------------------------------------
 
-    def _mode(
-        self, fn, items, tracked, results, progress, done_box, drain
-    ) -> Tuple[int, bool]:
+    def _mode(self, fn, items, tracked, batch) -> Tuple[int, bool]:
         """(workers, use_pool) for this batch, honouring the inner backend.
 
         An :class:`~repro.exec.executor.AutoBackend` inner still gets
-        its serial probe: the head runs inline here (its results are
-        kept), and the probe's projection decides whether the tail is
-        worth a pool — the decision lands on ``inner.last_decision``.
+        its serial probe when nothing forces a pool: the head runs
+        inline here (its results are kept), and the probe's projection
+        decides whether the tail is worth a pool — the decision lands
+        on ``inner.last_decision``.
         """
         inner = self.inner
         forced = self._requires_pool(items) or self.policy.deadline_s is not None
@@ -386,13 +411,17 @@ class SupervisedBackend:
             workers = min(inner.workers, max(len(items), 1))
             return workers, workers > 1 or forced
         if isinstance(inner, AutoBackend):
+            if forced:
+                # An inline probe would run its flows beyond the
+                # deadline's and the chaos schedule's reach.
+                return inner.forced_pool(len(items)), True
             use_pool, workers = inner.probe(
                 items,
                 runner=lambda item, position: self._run_one_inline(
-                    fn, tracked[position], drain, results, progress, done_box
+                    fn, tracked[position], batch
                 ),
             )
-            return workers, use_pool or forced
+            return workers, use_pool
         # Serial (or unknown) inner: inline unless preemption forces a
         # process boundary.
         return 1, forced
@@ -400,46 +429,44 @@ class SupervisedBackend:
     # -- inline execution ----------------------------------------------
 
     def _run_one_inline(
-        self, fn, tracked: _Tracked, drain, results, progress, done_box
+        self, fn, tracked: _Tracked, batch: _Batch
     ) -> Optional[FlowOutcome]:
-        if drain.tripped:
+        if batch.drain.tripped:
             return None
         tracked.executions += 1
         outcome = fn(tracked.payload)
-        self._complete(tracked, outcome, results, progress, done_box)
+        batch.complete(tracked, outcome)
         return outcome
-
-    def _run_inline(self, fn, remaining, drain, results, progress, done_box):
-        for tracked in remaining:
-            if drain.tripped:
-                break
-            self._run_one_inline(fn, tracked, drain, results, progress, done_box)
 
     # -- pooled execution ----------------------------------------------
 
-    def _run_pooled(
-        self, fn, remaining, workers, drain, results, progress, done_box
-    ) -> None:
-        policy = self.policy
-        self._isolation_fn = fn
-        restarts = [0]
-        pending = deque(remaining)
+    def _run_pooled(self, fn, remaining, workers, batch: _Batch) -> None:
+        """The pool loop: submit, wait, file, and recover from kills.
+
+        ``suspects`` holds the positions of flows rolled back by a
+        break that had several flows in flight.  While any is left,
+        submission is capped at one in-flight flow, so the next break
+        blames exactly the flow that caused it.  Flows queued behind
+        the suspects are unaffected: they run after isolation, at full
+        width again.
+        """
+        deadline = self.policy.deadline_s
+        pending = batch.pending
+        pending.extend(remaining)
         pool: Optional[ProcessPoolExecutor] = None
+        # insertion order is submission order
         inflight: Dict[object, _Tracked] = {}
-        order: Dict[object, int] = {}
-        submitted = 0
+        suspects: Set[int] = set()
         try:
             while pending or inflight:
-                if drain.tripped:
-                    self._drain_inflight(
-                        pool, inflight, results, progress, done_box
-                    )
+                if batch.drain.tripped:
+                    self._drain_inflight(pool, inflight, batch)
                     pool = None
                     return  # pending never ran: map() marks them skipped
                 if pool is None:
                     pool = self._fresh_pool(min(workers, max(len(pending), 1)))
-                submit_broke = False
-                while pending and len(inflight) < workers:
+                cap = 1 if suspects else workers
+                while pending and len(inflight) < cap:
                     tracked = pending.popleft()
                     action = self._action_for(tracked.payload, tracked.executions)
                     tracked.executions += 1
@@ -452,86 +479,77 @@ class SupervisedBackend:
                         # The pool broke between waits (a worker died
                         # while idle, or its break was detected late).
                         # This payload never ran: roll it back and let
-                        # the crash path below sort out the in-flight.
+                        # the break of the in-flight futures, if any,
+                        # sort out the rest.
                         tracked.executions -= 1
                         pending.appendleft(tracked)
-                        submit_broke = True
+                        if not inflight:
+                            # Nobody is a suspect: the pool just needs
+                            # rebuilding (the budget applies).
+                            self._restart(pool, [], [], "crash", batch)
+                            pool = None
                         break
                     inflight[future] = tracked
-                    order[future] = submitted
-                    submitted += 1
-                if submit_broke and not inflight:
-                    # Nothing was in flight, so nobody is a suspect:
-                    # the pool just needs rebuilding (budget applies).
-                    restarts[0] += 1
-                    self._kill_pool(pool)
-                    pool = None
-                    if restarts[0] > self.policy.max_worker_restarts:
-                        self._give_up_all(
-                            [], pending, "worker-restart budget exhausted",
-                            results, progress, done_box,
-                        )
+                if not inflight:
                     continue
+                self._watch_workers(pool)
                 done, _ = wait(
                     list(inflight),
-                    timeout=self._wait_timeout(inflight, drain),
+                    timeout=self._wait_timeout(inflight),
                     return_when=FIRST_COMPLETED,
                 )
-                crashed: List[_Tracked] = []
-                for future in sorted(done, key=order.__getitem__):
+                broken: List[_Tracked] = []
+                for future in [f for f in inflight if f in done]:
                     tracked = inflight.pop(future)
-                    order.pop(future, None)
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
-                        crashed.append(tracked)
+                        broken.append(tracked)
+                        continue
                     except BaseException as error:  # worker-side raise
-                        self._record_worker_error(
-                            tracked, error, pending, results, progress, done_box
+                        self._record(
+                            tracked, type(error).__name__, str(error),
+                            tracked.retry_policy.classify(error), None, batch,
                         )
                     else:
-                        self._complete(
-                            tracked, outcome, results, progress, done_box
-                        )
-                if crashed:
-                    bystanders = sorted(
-                        inflight.values(), key=lambda t: t.position
+                        batch.complete(tracked, outcome)
+                    suspects.discard(tracked.position)
+                if broken:
+                    kind = "crash"
+                    aborted = sorted(
+                        broken + list(inflight.values()), key=_by_position
                     )
-                    inflight.clear()
-                    order.clear()
-                    self._kill_pool(pool)
-                    pool = None
-                    self._handle_crash(
-                        crashed, bystanders, workers, restarts, pending,
-                        results, progress, done_box,
-                    )
-                    continue
-                if policy.deadline_s is not None and inflight:
+                    # One flow in flight is the killer; with several,
+                    # all of them become suspects.
+                    blamed = aborted if len(aborted) == 1 else []
+                else:
+                    kind = "deadline"
                     now = time.monotonic()
-                    overdue = [
-                        tracked
-                        for tracked in inflight.values()
-                        if now - tracked.started > policy.deadline_s
+                    aborted = list(inflight.values())
+                    blamed = [
+                        t for t in aborted
+                        if deadline is not None and now - t.started > deadline
                     ]
-                    if overdue:
-                        bystanders = [
-                            tracked
-                            for tracked in inflight.values()
-                            if tracked not in overdue
-                        ]
-                        inflight.clear()
-                        order.clear()
-                        self._kill_pool(pool)
-                        pool = None
-                        self._handle_deadline(
-                            overdue, bystanders, restarts, pending,
-                            results, progress, done_box,
-                        )
+                    if not blamed:
+                        continue
+                inflight.clear()
+                bystanders = [t for t in aborted if t not in blamed]
+                restarted = self._restart(pool, blamed, bystanders, kind, batch)
+                pool = None
+                suspects.difference_update(t.position for t in blamed)
+                if restarted and kind == "crash" and bystanders:
+                    suspects.update(t.position for t in bystanders)
+                    print(
+                        f"supervise: worker died; isolating the killer among "
+                        f"{len(bystanders)} in-flight flows",
+                        file=sys.stderr,
+                        flush=True,
+                    )
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
 
-    def _wait_timeout(self, inflight: Dict[object, _Tracked], drain) -> float:
+    def _wait_timeout(self, inflight: Dict[object, _Tracked]) -> float:
         """How long one future-wait may block.
 
         Short enough to notice drain flags and deadlines promptly; a
@@ -549,231 +567,80 @@ class SupervisedBackend:
 
     # -- failure handling ----------------------------------------------
 
-    def _handle_crash(
-        self, crashed, bystanders, workers, restarts, pending,
-        results, progress, done_box,
-    ) -> None:
-        """A pool break: isolate the killer(s), re-run the innocent.
+    def _restart(self, pool, blamed, bystanders, kind, batch: _Batch) -> bool:
+        """Kill ``pool`` after a break or a deadline; count the restart.
 
-        With one worker the single in-flight payload *is* the killer.
-        With several, nobody knows whose worker died — every broken
-        execution is rolled back (the execution index is not consumed)
-        and the suspects are re-run through an ordered one-worker
-        isolation probe, where the first break identifies a killer
-        exactly.  Bystanders re-run with no failure record.
+        Each ``blamed`` flow gets a ``kind`` (``"crash"`` or
+        ``"deadline"``) failure record and is retried.  Bystanders are
+        rolled back — their aborted execution never counted — and
+        requeued at the front in position order.  Returns False when
+        this restart spent the budget: every unfinished flow, aborted
+        or still queued, is then quarantined.
         """
-        restarts[0] += 1
-        suspects = sorted(crashed + list(bystanders), key=lambda t: t.position)
-        if restarts[0] > self.policy.max_worker_restarts:
-            self._give_up_all(
-                suspects, pending, "worker-restart budget exhausted",
-                results, progress, done_box,
-            )
-            return
-        if len(suspects) == 1:
-            self._record_crash(
-                suspects[0], pending, results, progress, done_box
-            )
-            return
-        for tracked in suspects:
-            tracked.executions -= 1  # aborted: the execution never counted
-        print(
-            f"supervise: worker died; isolating the killer among "
-            f"{len(suspects)} in-flight flows",
-            file=sys.stderr,
-            flush=True,
-        )
-        for tracked in reversed(suspects):
-            pending.appendleft(tracked)
-        # The isolation probe is simply the same loop at workers=1: the
-        # re-queued suspects run in order, and the next break has
-        # exactly one in-flight payload — the killer.  (Flows queued
-        # behind them are unaffected: they execute after isolation,
-        # wherever the pool is by then.)
-        # Switching the whole remainder to one worker would serialise
-        # the campaign, so only the suspects are probed: they sit at
-        # the queue front, and we momentarily cap submission.
-        self._isolate(suspects, pending, restarts, results, progress, done_box)
-
-    def _isolate(
-        self, suspects, pending, restarts, results, progress, done_box
-    ) -> None:
-        """Ordered one-worker probe over the suspect list.
-
-        Runs the suspects (currently at the front of ``pending``)
-        through dedicated single-worker pools until none of them is
-        left; each break identifies the first unfinished suspect as a
-        killer.  Deadlines still apply — a suspect that *hangs* rather
-        than crashes is preempted here too.
-        """
-        suspect_set = {id(t) for t in suspects}
-        probe = deque()
-        while pending and id(pending[0]) in suspect_set:
-            probe.append(pending.popleft())
-        fn = self._isolation_fn
-        while probe:
-            tracked = probe.popleft()
-            if restarts[0] > self.policy.max_worker_restarts:
-                self._give_up_all(
-                    [tracked], probe, "worker-restart budget exhausted",
-                    results, progress, done_box,
-                )
-                continue
-            self._probe_one(
-                fn, tracked, restarts, probe, results, progress, done_box
-            )
-
-    #: set by map() so isolation probes reuse the same mapped function
-    _isolation_fn: Optional[Callable] = None
-
-    def _probe_one(
-        self, fn, tracked, restarts, requeue, results, progress, done_box
-    ) -> bool:
-        """Run one suspect alone in a fresh single-worker pool."""
-        pool = self._fresh_pool(1)
-        action = self._action_for(tracked.payload, tracked.executions)
-        tracked.executions += 1
-        tracked.started = time.monotonic()
-        future = pool.submit(_supervised_call, fn, tracked.payload, action)
-        deadline = self.policy.deadline_s
-        try:
-            while True:
-                done, _ = wait([future], timeout=self.POLL_S)
-                if done:
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        restarts[0] += 1
-                        self._kill_pool(pool)
-                        self._record_crash(
-                            tracked, requeue, results, progress, done_box
-                        )
-                        return False
-                    except BaseException as error:
-                        self._record_worker_error(
-                            tracked, error, requeue, results, progress, done_box
-                        )
-                        return False
-                    else:
-                        self._complete(
-                            tracked, outcome, results, progress, done_box
-                        )
-                        return True
-                if (
-                    deadline is not None
-                    and time.monotonic() - tracked.started > deadline
-                ):
-                    restarts[0] += 1
-                    self._kill_pool(pool)
-                    self._record_deadline(
-                        tracked, requeue, results, progress, done_box
-                    )
-                    return False
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _handle_deadline(
-        self, overdue, bystanders, restarts, pending,
-        results, progress, done_box,
-    ) -> None:
-        """Preempt hung flows; re-run the innocent without a record."""
-        restarts[0] += 1
-        if restarts[0] > self.policy.max_worker_restarts:
-            self._give_up_all(
-                sorted(overdue + bystanders, key=lambda t: t.position),
-                pending, "worker-restart budget exhausted",
-                results, progress, done_box,
-            )
-            return
-        for tracked in sorted(bystanders, key=lambda t: t.position, reverse=True):
+        self._kill_pool(pool)
+        batch.restarts += 1
+        if batch.restarts > self.policy.max_worker_restarts:
+            self._give_up_all(list(blamed) + list(bystanders), batch)
+            return False
+        for tracked in bystanders:
             tracked.executions -= 1  # aborted, not failed
-            pending.appendleft(tracked)
-        for tracked in sorted(overdue, key=lambda t: t.position):
-            self._record_deadline(tracked, pending, results, progress, done_box)
-
-    def _record_crash(
-        self, tracked, requeue, results, progress, done_box
-    ) -> None:
-        spec = tracked.spec
-        tracked.failures.append(
-            FlowFailure(
-                flow_id=spec.flow_id,
-                attempt=tracked.executions - 1,
-                seed=spec.seed,
-                error_type="WorkerCrashError",
-                error=(
+        batch.requeue(bystanders)
+        deadline = self.policy.deadline_s
+        for tracked in sorted(blamed, key=_by_position):
+            flow, execution = tracked.spec.flow_id, tracked.executions - 1
+            if kind == "deadline":
+                self._record(
+                    tracked,
+                    "DeadlineExceededError",
+                    f"flow exceeded its {deadline:g}s wall-clock deadline; "
+                    "worker killed",
+                    "deadline",
+                    f"{flow!r} exceeded its {deadline:g}s deadline "
+                    f"(execution {execution}); worker killed",
+                    batch,
+                )
+            else:
+                self._record(
+                    tracked,
+                    "WorkerCrashError",
                     "worker process died while running this flow "
                     f"(exit status {_CRASH_EXIT_STATUS} or signal); "
-                    "pool rebuilt"
-                ),
-                failure_class="worker_crash",
-            )
-        )
-        print(
-            f"supervise: worker crashed on {spec.flow_id!r} "
-            f"(execution {tracked.executions - 1}); pool rebuilt",
-            file=sys.stderr,
-            flush=True,
-        )
-        self._retry_or_give_up(tracked, requeue, results, progress, done_box)
+                    "pool rebuilt",
+                    "worker_crash",
+                    f"worker crashed on {flow!r} (execution {execution}); "
+                    "pool rebuilt",
+                    batch,
+                )
+        return True
 
-    def _record_deadline(
-        self, tracked, requeue, results, progress, done_box
+    def _record(
+        self, tracked, error_type, error, failure_class, note, batch: _Batch
     ) -> None:
+        """File one failed execution, then retry or quarantine the flow.
+
+        ``note`` is the stderr line (without the ``supervise:`` prefix)
+        for failures the worker could not report itself.  Failure
+        classes follow the retry taxonomy: a ``deterministic`` one
+        quarantines at once.
+        """
         spec = tracked.spec
-        deadline = self.policy.deadline_s
         tracked.failures.append(
             FlowFailure(
                 flow_id=spec.flow_id,
                 attempt=tracked.executions - 1,
                 seed=spec.seed,
-                error_type="DeadlineExceededError",
-                error=(
-                    f"flow exceeded its {deadline:g}s wall-clock deadline; "
-                    "worker killed"
-                ),
-                failure_class="deadline",
-            )
-        )
-        print(
-            f"supervise: {spec.flow_id!r} exceeded its {deadline:g}s "
-            f"deadline (execution {tracked.executions - 1}); worker killed",
-            file=sys.stderr,
-            flush=True,
-        )
-        self._retry_or_give_up(tracked, requeue, results, progress, done_box)
-
-    def _record_worker_error(
-        self, tracked, error, requeue, results, progress, done_box
-    ) -> None:
-        """A worker-side exception that escaped the payload's own retry
-        loop (injected chaos, pickling trouble): taxonomy applies."""
-        spec = tracked.spec
-        failure_class = tracked.retry_policy.classify(error)
-        tracked.failures.append(
-            FlowFailure(
-                flow_id=spec.flow_id,
-                attempt=tracked.executions - 1,
-                seed=spec.seed,
-                error_type=type(error).__name__,
-                error=str(error),
+                error_type=error_type,
+                error=error,
                 failure_class=failure_class,
             )
         )
+        if note is not None:
+            print(f"supervise: {note}", file=sys.stderr, flush=True)
         if failure_class == "deterministic":
             self._give_up(
-                tracked,
-                f"deterministic failure: {type(error).__name__}: {error}",
-                results, progress, done_box,
+                tracked, f"deterministic failure: {error_type}: {error}", batch
             )
-            return
-        self._retry_or_give_up(tracked, requeue, results, progress, done_box)
-
-    def _retry_or_give_up(
-        self, tracked, requeue, results, progress, done_box
-    ) -> None:
-        budget = tracked.retry_policy.max_attempts
-        if len(tracked.failures) >= budget:
+        elif len(tracked.failures) >= tracked.retry_policy.max_attempts:
             last = tracked.failures[-1]
             self._give_up(
                 tracked,
@@ -781,12 +648,12 @@ class SupervisedBackend:
                     f"supervisor gave up after {len(tracked.failures)} "
                     f"failed executions; last: {last.error_type}: {last.error}"
                 ),
-                results, progress, done_box,
+                batch,
             )
-            return
-        requeue.appendleft(tracked)
+        else:
+            batch.pending.appendleft(tracked)
 
-    def _give_up(self, tracked, reason, results, progress, done_box) -> None:
+    def _give_up(self, tracked, reason, batch: _Batch) -> None:
         spec = tracked.spec
         outcome = FlowOutcome(
             index=tracked.payload[0],
@@ -800,33 +667,22 @@ class SupervisedBackend:
             attempts=max(len(tracked.failures), 1),
         )
         tracked.failures = []  # already on the outcome; don't double-merge
-        self._complete(tracked, outcome, results, progress, done_box)
+        batch.complete(tracked, outcome)
 
-    def _give_up_all(
-        self, suspects, pending, reason, results, progress, done_box
-    ) -> None:
+    def _give_up_all(self, aborted, batch: _Batch) -> None:
+        """The restart budget is spent: quarantine everything unfinished."""
+        reason = "worker-restart budget exhausted"
+        unfinished = list(aborted) + list(batch.pending)
+        batch.pending.clear()
         print(
             f"supervise: {reason} "
             f"(max_worker_restarts={self.policy.max_worker_restarts}); "
-            f"quarantining the {len(suspects) + len(pending)} unfinished flows",
+            f"quarantining the {len(unfinished)} unfinished flows",
             file=sys.stderr,
             flush=True,
         )
-        for tracked in list(suspects) + list(pending):
-            self._give_up(tracked, reason, results, progress, done_box)
-        pending.clear()
-
-    # -- completion ----------------------------------------------------
-
-    def _complete(self, tracked, outcome, results, progress, done_box) -> None:
-        """Merge supervisor-level failures into the outcome and file it."""
-        if tracked.failures:
-            outcome.failures = list(tracked.failures) + list(outcome.failures)
-            outcome.attempts += len(tracked.failures)
-        results[tracked.position] = outcome
-        done_box[0] += 1
-        if progress is not None:
-            progress(done_box[0])
+        for tracked in unfinished:
+            self._give_up(tracked, reason, batch)
 
     @staticmethod
     def _skipped_outcome(position: int, payload: Tuple) -> FlowOutcome:
@@ -849,6 +705,22 @@ class SupervisedBackend:
         )
 
     @staticmethod
+    def _watch_workers(pool: ProcessPoolExecutor) -> None:
+        """Make the pool notice the death of every worker it has spawned.
+
+        ``submit`` wakes the pool's manager thread *before* spawning a
+        new worker, so the thread can go back to waiting without that
+        worker's sentinel, and a crash there would go unseen until the
+        next result arrives.  One more wakeup after the submissions
+        closes the gap (a private handle, like the one ``_kill_pool``
+        uses).
+        """
+        wakeup = getattr(pool, "_executor_manager_thread_wakeup", None)
+        if wakeup is not None:
+            with contextlib.suppress(OSError):  # closed: the pool broke
+                wakeup.wakeup()
+
+    @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
         """Terminate a pool's workers outright (hung or broken pool).
 
@@ -864,14 +736,8 @@ class SupervisedBackend:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _drain_inflight(
-        self, pool, inflight, results, progress, done_box
-    ) -> None:
+    def _drain_inflight(self, pool, inflight, batch: _Batch) -> None:
         """Signal drain: give in-flight flows ``grace_s``, then kill."""
-        if not inflight:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            return
         done, not_done = wait(list(inflight), timeout=self.policy.grace_s)
         for future in done:
             tracked = inflight.pop(future)
@@ -880,7 +746,7 @@ class SupervisedBackend:
             except BaseException:
                 tracked.executions -= 1  # lost to the drain, not failed
             else:
-                self._complete(tracked, outcome, results, progress, done_box)
+                batch.complete(tracked, outcome)
         for future in not_done:
             tracked = inflight.pop(future)
             tracked.executions -= 1  # preempted by the drain, not failed

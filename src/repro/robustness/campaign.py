@@ -86,12 +86,13 @@ class RetryPolicy:
     Retries are taxonomy-aware (:data:`FAILURE_CLASSES`):
     ``deterministic`` failures are quarantined on attempt 0 instead of
     being pointlessly re-run, while ``transient`` and
-    ``infrastructure`` failures consume the retry budget.  Between
-    attempts the policy prescribes deterministic exponential backoff
-    with seeded jitter (:meth:`backoff_for_attempt`) — the default
-    ``backoff_base_s=0`` keeps historical no-sleep behaviour, and the
-    jitter is a pure function of the flow's seed, so two runs of the
-    same campaign back off identically.
+    ``infrastructure`` failures consume the retry budget, and a flow's
+    retry runs at once.
+
+    The backoff fields set the remote-store transport's retry schedule
+    (:class:`~repro.store.remote.RemoteStore`): deterministic
+    exponential backoff with seeded jitter (:meth:`backoff_for_attempt`),
+    a pure function of the seed, so two clients back off identically.
     """
 
     max_retries: int = 2
@@ -100,7 +101,7 @@ class RetryPolicy:
     backoff_base_s: float = 0.0
     backoff_factor: float = 2.0
     #: fraction of the backoff added as seeded jitter (decorrelates
-    #: retry bursts across flows without breaking determinism)
+    #: retry bursts across clients without breaking determinism)
     backoff_jitter: float = 0.1
 
     def __post_init__(self) -> None:

@@ -73,14 +73,6 @@ class CachedBackend:
         progress: Optional[Callable[[int], None]] = None,
     ) -> List[FlowOutcome]:
         items = list(items)
-        # Give the inner backend its pre-batch hook *before* the store
-        # reads below — a chaos wrapper corrupting entries must corrupt
-        # them where this partition will actually read them.  The hook
-        # is documented idempotent (inner.map fires it again for the
-        # miss batch).
-        prepare = getattr(self.inner, "prepare_batch", None)
-        if prepare is not None:
-            prepare(items)
         breaker = StoreCircuitBreaker(self.store)
         outcomes: List[Optional[FlowOutcome]] = [None] * len(items)
         misses = []  # (position, payload, key, was_corrupt, degraded)

@@ -18,11 +18,11 @@ Two halves, one wire format:
   :func:`~repro.store.scope.store_scope` can point at
   ``http://host:port`` wherever they accept a store.  One
   ``HTTPConnection`` is kept per client and reused across requests;
-  transient transport failures get bounded retries with the same
-  seeded-jitter exponential backoff campaigns use
-  (:class:`~repro.robustness.campaign.RetryPolicy`), and a request
-  that exhausts its retries raises :class:`OSError` — exactly the
-  exception :class:`~repro.store.breaker.StoreCircuitBreaker` absorbs,
+  transient transport failures get bounded retries with seeded-jitter
+  exponential backoff (:class:`~repro.robustness.campaign.RetryPolicy`'s
+  backoff fields), and a request that exhausts its retries raises
+  :class:`OSError` — exactly the exception
+  :class:`~repro.store.breaker.StoreCircuitBreaker` absorbs,
   so a dead server downgrades a campaign to uncached execution instead
   of aborting it.
 

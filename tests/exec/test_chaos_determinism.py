@@ -1,7 +1,8 @@
 """The chaos determinism gate.
 
-A seeded :class:`ChaosPlan` that kills at least one worker, hangs at
-least one flow past its deadline, and corrupts at least one store shard
+A seeded :class:`ChaosPlan` that kills at least one worker and hangs at
+least one flow past its deadline, in a campaign that also reads one
+rotten store shard (the gate truncates it on disk before the run),
 must leave the campaign *complete* — every flow eventually succeeds —
 and two runs of the same chaotic campaign must produce byte-identical
 :meth:`CampaignReport.to_json` output.  This is the contract that makes
@@ -18,6 +19,7 @@ from repro.hsr import CHINA_MOBILE, hsr_scenario
 from repro.store import ResultStore, flow_key
 from repro.store.scope import store_scope
 from repro.util.errors import ConfigurationError
+from tests.store.entries import rot_entry
 
 FLOW_IDS = [f"f/{i}" for i in range(6)]
 
@@ -34,18 +36,13 @@ def specs():
 
 class TestChaosPlan:
     def test_sample_is_deterministic(self):
-        a = ChaosPlan.sample(7, FLOW_IDS, crashes=1, hangs=1, corruptions=1)
-        b = ChaosPlan.sample(7, FLOW_IDS, crashes=1, hangs=1, corruptions=1)
+        a = ChaosPlan.sample(7, FLOW_IDS, crashes=1, hangs=1, raises=1)
+        b = ChaosPlan.sample(7, FLOW_IDS, crashes=1, hangs=1, raises=1)
         assert a == b
 
     def test_sample_pools_are_disjoint(self):
-        plan = ChaosPlan.sample(
-            7, FLOW_IDS, crashes=2, hangs=1, raises=1, corruptions=2
-        )
-        pools = [
-            set(plan.crash), set(plan.hang), set(plan.raise_),
-            set(plan.corrupt_store),
-        ]
+        plan = ChaosPlan.sample(7, FLOW_IDS, crashes=2, hangs=2, raises=2)
+        pools = [set(plan.crash), set(plan.hang), set(plan.raise_)]
         union = set().union(*pools)
         assert len(union) == sum(len(pool) for pool in pools) == 6
 
@@ -69,13 +66,12 @@ class TestChaosPlan:
         assert ChaosPlan(crash={"f/0": (0,)}).needs_pool
         assert ChaosPlan(hang={"f/0": (0,)}).needs_pool
         assert ChaosPlan(raise_={"f/0": (0,)}).needs_pool
-        assert not ChaosPlan(corrupt_store=("f/0",)).needs_pool
+        assert not ChaosPlan().needs_pool
 
     def test_summary_counts(self):
-        plan = ChaosPlan.sample(7, FLOW_IDS, crashes=1, hangs=1, corruptions=1)
+        plan = ChaosPlan.sample(7, FLOW_IDS, crashes=1, hangs=1, raises=1)
         assert plan.summary() == (
-            "chaos plan: 1 crashes, 1 hangs (30s), 0 raises, "
-            "1 corrupted entries"
+            "chaos plan: 1 crashes, 1 hangs (30s), 1 raises"
         )
 
 
@@ -83,34 +79,35 @@ class TestDeterminismGate:
     """The acceptance criterion, verbatim."""
 
     def _run_chaotic(self, store_root):
-        plan = ChaosPlan.sample(
-            7, FLOW_IDS, crashes=1, hangs=1, corruptions=1, hang_s=30.0
-        )
-        # Warm exactly the corruption victim so there is a shard to rot;
-        # the crash/hang victims must stay cold or the cache would serve
-        # them before the supervisor ever sees them.
-        victims = set(plan.corrupt_store)
-        assert victims
+        plan = ChaosPlan.sample(7, FLOW_IDS, crashes=1, hangs=1, hang_s=30.0)
+        # Warm one flow the plan leaves alone and rot its shard, so the
+        # campaign reads a corrupt entry; the crash/hang victims must
+        # stay cold or the cache would serve them before the supervisor
+        # ever sees them.
         batch = specs()
+        victim = next(
+            s for s in batch
+            if s.flow_id not in plan.crash and s.flow_id not in plan.hang
+        )
         with store_scope(store_root):
-            Executor().run([s for s in batch if s.flow_id in victims])
+            Executor().run([victim])
+            rot_entry(ResultStore(store_root), flow_key(victim))
             backend = ChaosBackend(
                 plan,
                 ProcessPoolBackend(2),
                 policy=SupervisorPolicy(deadline_s=2.0),
             )
             result = Executor(backend=backend).run(batch)
-        return plan, backend, result
+        return plan, result
 
     def test_chaotic_campaign_completes_and_replays_byte_identically(
         self, tmp_path
     ):
-        plan, backend_a, first = self._run_chaotic(tmp_path / "a")
-        _, backend_b, second = self._run_chaotic(tmp_path / "b")
+        plan, first = self._run_chaotic(tmp_path / "a")
+        _, second = self._run_chaotic(tmp_path / "b")
 
-        # the plan really did all three kinds of damage
-        assert plan.crash and plan.hang and plan.corrupt_store
-        assert backend_a.corrupted  # a shard was truncated on disk
+        # the plan really did both kinds of damage
+        assert plan.crash and plan.hang
         classes = {f.failure_class for f in first.report.failures}
         assert {"worker_crash", "deadline"} <= classes
 
@@ -126,25 +123,3 @@ class TestDeterminismGate:
 
         # the gate: two runs, byte-identical report JSON
         assert first.report.to_json() == second.report.to_json()
-
-    def test_corruption_hits_only_existing_entries(self, tmp_path):
-        # A cold store has nothing to truncate: the corrupting plan is
-        # a no-op, not an error.
-        plan = ChaosPlan(corrupt_store=(FLOW_IDS[0],))
-        backend = ChaosBackend(plan, store=ResultStore(tmp_path / "cold"))
-        result = Executor(backend=backend).run(specs()[:2])
-        assert backend.corrupted == {}
-        assert result.report.succeeded == 2
-
-    def test_corrupted_shard_is_actually_rotten(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        batch = specs()[:1]
-        with store_scope(store.root):
-            Executor().run(batch)
-        plan = ChaosPlan(corrupt_store=(batch[0].flow_id,))
-        backend = ChaosBackend(plan, store=store)
-        backend.prepare_batch([(0, batch[0], None)])
-        key = flow_key(batch[0])
-        assert backend.corrupted == {batch[0].flow_id: key}
-        payload, was_corrupt = store.get(key)
-        assert payload is None and was_corrupt

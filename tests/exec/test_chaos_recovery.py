@@ -3,13 +3,15 @@
 Where ``test_chaos_determinism`` proves the headline gate, this suite
 exercises each supervision path on its own: crash-once-then-recover,
 killer isolation among concurrent workers, injected worker-side raises,
-give-up after repeated crashes, the restart budget, and deadline
-preemption of a hung flow.
+give-up after repeated crashes, the restart budget, deadline preemption
+of a hung flow, and the forced pool an auto backend must honour.
 """
+
+import os
 
 import pytest
 
-from repro.exec import Executor, ProcessPoolBackend, SerialBackend
+from repro.exec import AutoBackend, Executor, ProcessPoolBackend, SerialBackend
 from repro.exec.chaos import ChaosBackend, ChaosPlan
 from repro.exec.spec import FlowSpec
 from repro.exec.supervise import SupervisorPolicy
@@ -17,16 +19,19 @@ from repro.robustness.campaign import RetryPolicy
 from repro.simulator.connection import ConnectionConfig
 
 
-def spec(seed=0, flow_id="flow"):
+def spec(seed=0, flow_id="flow", duration=2.0):
     return FlowSpec(
-        config=ConnectionConfig(duration=2.0, wmax=16.0),
+        config=ConnectionConfig(duration=duration, wmax=16.0),
         seed=seed,
         flow_id=flow_id,
     )
 
 
-def specs(n):
-    return [spec(seed=30 + i, flow_id=f"f/{i}") for i in range(n)]
+def specs(n, duration=2.0):
+    return [
+        spec(seed=30 + i, flow_id=f"f/{i}", duration=duration)
+        for i in range(n)
+    ]
 
 
 class TestCrashRecovery:
@@ -108,6 +113,30 @@ class TestCrashRecovery:
             for record in report.quarantines
         )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_spent_budget_quarantines_every_unfinished_flow(self, workers):
+        # The budget means the same thing at any pool width: the restart
+        # that spends it quarantines the queued flows too, not only
+        # those in flight (with two workers the second crash lands
+        # while the killer is being isolated).  The flows are long
+        # (about 2 s of wall clock each) so f/1 is still running when
+        # f/0's worker dies: a 2-s flow finishes in a few milliseconds,
+        # well inside the start-up skew of two spawn workers.  Every
+        # flow is killed or quarantined before it finishes, so the
+        # length costs no time.
+        plan = ChaosPlan(crash={"f/0": (0, 1)})
+        backend = ChaosBackend(
+            plan,
+            ProcessPoolBackend(workers),
+            policy=SupervisorPolicy(max_worker_restarts=1),
+        )
+        report = Executor(backend=backend).run(specs(6, duration=600.0)).report
+        assert report.quarantined == 6
+        assert all(
+            "worker-restart budget exhausted" in record.reason
+            for record in report.quarantines
+        )
+
 
 class TestInjectedRaise:
     def test_raise_is_classified_and_retried(self):
@@ -163,3 +192,19 @@ class TestDeadlinePreemption:
         for outcome in result.outcomes:
             if outcome.spec.flow_id != "f/0":
                 assert outcome.failures == []
+
+
+class TestForcedPool:
+    def test_auto_inner_runs_every_flow_in_the_forced_pool(self, monkeypatch):
+        # Two CPUs make auto's inline probe eligible on any host.  The
+        # chaos schedule forces a pool, so the probe must not run f/0
+        # inline, out of the schedule's reach.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        plan = ChaosPlan(raise_={"f/0": (0,)})
+        auto = Executor(backend=ChaosBackend(plan, AutoBackend(2))).run(specs(6))
+        (failure,) = auto.report.failures
+        assert (failure.flow_id, failure.error_type) == ("f/0", "ChaosError")
+        pool = Executor(
+            backend=ChaosBackend(plan, ProcessPoolBackend(2))
+        ).run(specs(6))
+        assert auto.report.to_json() == pool.report.to_json()

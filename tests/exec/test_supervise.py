@@ -7,6 +7,7 @@ import signal
 import pytest
 
 from repro.exec import (
+    AutoBackend,
     Executor,
     FlowSpec,
     ProcessPoolBackend,
@@ -191,6 +192,22 @@ class TestSupervisedBackendPooled:
         assert outcomes[1].quarantine is not None
         for index in (0, 2, 3):
             assert pickle.dumps(outcomes[index]) == pickle.dumps(serial[index])
+
+    def test_deadline_pools_the_whole_auto_batch(self, monkeypatch):
+        # auto's inline probe would leave its two flows beyond the
+        # deadline's reach, so a deadline skips it
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        batch = payloads(3)
+        inline = SupervisedBackend(SerialBackend()).map(_execute_payload, batch)
+        auto = AutoBackend(2)
+        pooled = SupervisedBackend(
+            auto, policy=SupervisorPolicy(deadline_s=60.0)
+        ).map(_execute_payload, batch)
+        assert auto.last_decision["mode"] == "pool"
+        assert auto.last_decision["workers"] == 2
+        assert "probe_s" not in auto.last_decision
+        for a, b in zip(inline, pooled):
+            assert pickle.dumps(a) == pickle.dumps(b)
 
     def test_deadline_forces_pool_even_for_serial_inner(self):
         # a 1-worker pool is stood up so preemption has a process to

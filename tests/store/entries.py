@@ -51,3 +51,11 @@ def truncate_block(raw):
     only the length check can catch it."""
     head, body = gzip.decompress(raw).split(b"\n", 1)
     return _frame(json.loads(head), body[:-1])
+
+
+def rot_entry(store, key):
+    """Cut a stored entry to half its gzip frame: unreadable, so the
+    next read quarantines it and the flow recomputes."""
+    path = store.path_for(key)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
