@@ -3,11 +3,11 @@
 
 Runs the same miniature paper campaign through the flow executor — on
 the ``SerialBackend``, on a multi-process ``ProcessPoolBackend``, on
-the ``AutoBackend`` (which probes the batch and picks serial or pool
-itself), twice through a throw-away ``ResultStore`` (a cold populating
-run, then a warm all-hits one), and on the campaign fabric — and
-reports flows/sec for each, the serial→pool speedup, the auto
-backend's recorded decision, and the warm-cache speedup, in
+``ProcessPoolBackend(auto=True)`` (which probes the batch and picks
+serial or pool itself), twice through a throw-away ``ResultStore`` (a
+cold populating run, then a warm all-hits one), and on the campaign
+fabric — and reports flows/sec for each, the serial→pool speedup, the
+auto placement's recorded decision, and the warm-cache speedup, in
 ``BENCH_campaign.json``.  Each run also appends a
 timestamped one-line summary to ``BENCH_history.jsonl``.
 
@@ -59,12 +59,12 @@ def _timed_campaign(flow_scale: float, duration: float, workers, cc: str):
 
 
 def _timed_auto_campaign(flow_scale: float, duration: float, cc: str):
-    """The auto leg, run through an explicit backend so the probe's
+    """The auto leg, run through an explicit placement so the probe's
     decision record can be captured for the artefact."""
-    from repro.exec import AutoBackend, Executor
+    from repro.exec import Executor, ProcessPoolBackend
     from repro.traces.generator import PAPER_CAMPAIGN, SyntheticDataset, campaign_specs
 
-    backend = AutoBackend()
+    backend = ProcessPoolBackend(auto=True)
     start = time.perf_counter()
     specs = campaign_specs(seed=2015, duration=duration, flow_scale=flow_scale, cc=cc)
     execution = Executor(backend=backend).run(specs)

@@ -48,8 +48,9 @@ def _fabric_campaign(flow_scale: float, duration: float, config, store_url: str)
     """One Table-I campaign on the fabric under a mid-shard crash, with
     the backend exposed so the drill can read fleet facts (respawns,
     leases) off it."""
-    from repro.exec.chaos import ChaosBackend, ChaosPlan
+    from repro.exec.chaos import ChaosPlan
     from repro.exec.executor import Executor
+    from repro.exec.supervise import SupervisedBackend, SupervisorPolicy
     from repro.fabric import FabricBackend, ShardPlan
     from repro.store import store_scope
     from repro.traces.generator import PAPER_CAMPAIGN, SyntheticDataset, campaign_specs
@@ -61,7 +62,9 @@ def _fabric_campaign(flow_scale: float, duration: float, config, store_url: str)
     victim = next(positions for positions in shards if len(positions) > 1)[1]
     chaos = ChaosPlan(crash={specs[victim].flow_id: (0,)})
     fabric = FabricBackend(config)
-    executor = Executor(backend=ChaosBackend(chaos, inner=fabric))
+    executor = Executor(
+        backend=SupervisedBackend(fabric, policy=SupervisorPolicy(chaos=chaos))
+    )
     start = time.perf_counter()
     with store_scope(store_url):
         execution = executor.run(specs)

@@ -34,7 +34,7 @@ Layers, bottom to top (each imports only downwards):
 * :mod:`repro.exec` — the unified flow-execution pipeline
   (:class:`FlowSpec` → :class:`Executor`, serial/pool byte-identical).
 * :mod:`repro.store` — content-addressed flow-result persistence
-  (:class:`ResultStore`, :class:`CachedBackend`, resumable campaigns),
+  (:class:`ResultStore`, :func:`store_scope`, resumable campaigns),
   shareable over HTTP (:class:`StoreServer`, :class:`RemoteStore`).
 * :mod:`repro.fabric` — the distributed campaign fabric: shard-by-key
   leases with epochs and work stealing, coordinator + workers over
@@ -101,7 +101,6 @@ from repro.scenarios import (
 )
 from repro.simulator import ConnectionConfig, FlowResult, run_flow
 from repro.store import (
-    CachedBackend,
     RemoteStore,
     ResultStore,
     StoreServer,
@@ -125,7 +124,6 @@ __version__ = "1.7.0"
 
 __all__ = [
     "CCInfo",
-    "CachedBackend",
     "CampaignReport",
     "CampaignTelemetry",
     "ConnectionConfig",

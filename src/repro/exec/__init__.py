@@ -1,18 +1,20 @@
 """repro.exec: the unified flow-execution pipeline.
 
 Describe a run as a :class:`FlowSpec`, hand batches to an
-:class:`Executor` (serial, process-pool, or auto — byte-identical any way),
-or run one spec with :func:`simulate_spec`.  Every run is wrapped in
+:class:`Executor` placed serially or on a process pool (``auto=True``
+lets a probe choose) — byte-identical any way — or run one spec with
+:func:`simulate_spec`.  ``Executor.run`` is one fixed pipeline: store
+hits and misses are partitioned in the parent, the misses run through
 the :mod:`~repro.exec.supervise` layer (worker-crash recovery,
-parent-enforced deadlines, graceful signal drain), and
-:mod:`~repro.exec.chaos` injects fabric faults to test it.  See the
+parent-enforced deadlines, graceful signal drain), and fresh results
+are written back.  A :class:`ChaosPlan` on the
+:class:`SupervisorPolicy` injects fabric faults to test it.  See the
 README's architecture section for how campaigns, experiments, and
 MPTCP flows all route through here.
 """
 
-from repro.exec.chaos import ChaosBackend, ChaosPlan
+from repro.exec.chaos import ChaosPlan
 from repro.exec.executor import (
-    AutoBackend,
     ExecutionResult,
     Executor,
     FlowOutcome,
@@ -31,8 +33,6 @@ from repro.exec.supervise import (
 )
 
 __all__ = [
-    "AutoBackend",
-    "ChaosBackend",
     "ChaosPlan",
     "ExecutionResult",
     "Executor",

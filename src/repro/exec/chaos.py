@@ -19,9 +19,16 @@ pool's timing lands.  That is what makes the chaos determinism gate
 possible: two runs of the same chaotic campaign produce byte-identical
 :class:`~repro.robustness.campaign.CampaignReport` JSON.
 
-Only for tests.  A :class:`ChaosBackend` in a real campaign kills real
-workers; the injected :class:`~repro.util.errors.ChaosError` is loud on
-purpose.
+A plan rides on the supervisor's policy
+(``SupervisorPolicy(chaos=plan)``): the parent tracks per-flow
+execution counts and hands the scheduled action to the worker-side
+trampoline, so a "crash on execution 0" flow dies exactly once and then
+completes — the recovery path is exercised, not just the failure.  Over
+the fabric the execution index is the shard lease's ``epoch - 1``, and
+the action rides inside the lease to whichever worker draws it.
+
+Only for tests.  A chaos plan in a real campaign kills real workers;
+the injected :class:`~repro.util.errors.ChaosError` is loud on purpose.
 """
 
 from __future__ import annotations
@@ -29,11 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.exec.supervise import SupervisedBackend, SupervisorPolicy
 from repro.util.errors import ConfigurationError
 from repro.util.rng import derive_seed
 
-__all__ = ["ChaosBackend", "ChaosPlan"]
+__all__ = ["ChaosPlan"]
 
 #: action kinds a plan may schedule, in severity order
 _ACTION_KINDS = ("crash", "hang", "raise")
@@ -143,36 +149,3 @@ class ChaosPlan:
             f"{sum(map(len, self.raise_.values()))} raises"
         )
 
-
-class ChaosBackend(SupervisedBackend):
-    """A :class:`SupervisedBackend` that executes a :class:`ChaosPlan`.
-
-    The parent tracks per-flow execution counts and hands the scheduled
-    action to the worker-side trampoline, so a "crash on execution 0"
-    flow dies exactly once and then completes — the recovery path is
-    exercised, not just the failure.  Over the fabric the execution
-    index is the shard lease's ``epoch - 1``, and the action rides
-    inside the lease to whichever worker draws it.  The backend only
-    schedules: its two hooks name each execution's action and force
-    the batch into a pool, and the supervisor does the rest.
-    """
-
-    def __init__(
-        self,
-        plan: ChaosPlan,
-        inner: Optional[object] = None,
-        *,
-        policy: Optional[SupervisorPolicy] = None,
-    ) -> None:
-        super().__init__(inner, policy=policy)
-        self.plan = plan
-
-    @property
-    def name(self) -> str:
-        return f"chaos[{getattr(self.inner, 'name', 'backend')}]"
-
-    def _action_for(self, payload: Tuple, execution: int) -> Optional[Tuple]:
-        return self.plan.action_for(payload[1].flow_id, execution)
-
-    def _requires_pool(self, items: Sequence) -> bool:
-        return self.plan.needs_pool

@@ -8,22 +8,22 @@ reseeded attempts, quarantine on exhaustion), and assembles a
 so a 4-worker run produces the same traces and the same report bytes as
 a serial run of the same batch.
 
-Backends name an execution mode; every batch runs through
-:class:`~repro.exec.supervise.SupervisedBackend`, which owns the one
-pool loop (crash recovery, deadlines, signal drain):
+:meth:`Executor.run` is one fixed pipeline: partition the batch into
+result-store hits and misses (when a store is ambient), run the misses
+through :class:`~repro.exec.supervise.SupervisedBackend` — the one pool
+loop: crash recovery, deadlines, chaos, signal drain — write the fresh
+results back, and build the report.  A backend is only a *placement*,
+saying where the misses run:
 
 * :class:`SerialBackend` — in the calling process, in order; the
   default.
 * :class:`ProcessPoolBackend` — a spawn-context process pool.  Specs
   are self-contained and picklable, and every random stream is derived
   from the spec's own seed, so moving a flow to another process cannot
-  change its bytes.
-* :class:`AutoBackend` — runs a short serial probe, projects the cost
-  of finishing serially vs paying the pool's spawn overhead, and picks
-  whichever is faster.  Because the probe's results are kept and order
-  is preserved, the outcome bytes are identical to a serial run either
-  way; only wall-clock changes.  On a single-CPU host it always stays
-  serial, so ``auto`` is never slower than serial.
+  change its bytes.  With ``auto=True`` a short serial probe decides
+  per batch whether the pool is worth its spawn cost.
+* :class:`~repro.fabric.FabricBackend` — the distributed campaign
+  fabric (lease coordinator plus worker processes).
 
 Ambient state (the watchdog installed by ``watchdog_scope``) lives in a
 ContextVar, which does **not** propagate to spawned workers; the
@@ -34,7 +34,6 @@ time, before anything crosses a process boundary.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -42,7 +41,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -67,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces.events import FlowTrace
 
 __all__ = [
-    "AutoBackend",
     "ExecutionResult",
     "Executor",
     "FlowOutcome",
@@ -269,43 +266,22 @@ def _execute_payload(
 
 
 class SerialBackend:
-    """Run payloads in the calling process, in order."""
+    """Placement: run the batch in the calling process, in order.
+
+    The default placement.  A supervisor deadline or a chaos schedule
+    still moves the batch into a one-worker pool, because preemption
+    and injected crashes need a process boundary.
+    """
 
     name = "serial"
 
-    def map(
-        self,
-        fn: Callable,
-        items: Sequence,
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> List:
-        if progress is None:
-            return [fn(item) for item in items]
-        results: List = []
-        for done, item in enumerate(items, start=1):
-            results.append(fn(item))
-            progress(done)
-        return results
-
-
-def _supervised_map(backend, fn: Callable, items: Sequence, progress) -> List:
-    """Run ``backend``'s batch through the supervision layer, which owns
-    the only pool loop (imported lazily: supervise imports this module)."""
-    from repro.exec.supervise import SupervisedBackend, current_supervisor_policy
-
-    return SupervisedBackend(backend, policy=current_supervisor_policy()).map(
-        fn, items, progress
-    )
-
 
 class ProcessPoolBackend:
-    """Run payloads across ``workers`` spawned processes.
+    """Placement: run the batch across ``workers`` spawned processes.
 
-    The pool itself lives in
-    :class:`~repro.exec.supervise.SupervisedBackend`: this backend only
-    names the worker count, and :meth:`map` runs the batch through the
-    supervisor, so a bare call gets the same crash recovery, deadlines
-    and signal drain as an :class:`Executor` run.  Specs are
+    A placement only says *where* a batch runs; the pool itself lives
+    in :class:`~repro.exec.supervise.SupervisedBackend`, which
+    :meth:`Executor.run` runs every batch through.  Specs are
     self-contained and picklable and every outcome is filed at its
     payload position, which is what makes parallel reports
     byte-identical to serial ones.
@@ -316,137 +292,28 @@ class ProcessPoolBackend:
     on a 1-CPU host).  An explicit ``workers`` value is honoured as
     given — determinism tests deliberately run multi-worker pools on
     single-CPU machines.
+
+    ``auto=True`` (``workers="auto"``) lets the supervisor decide per
+    batch: it runs a short serial probe, projects the cost of finishing
+    serially against paying the pool's spawn overhead, and pools the
+    remainder only when that wins.  The probe's results are kept and
+    order is preserved, so the bytes are identical either way; on a
+    single-CPU host the batch always stays serial, so ``auto`` is
+    never slower than serial.  The last decision (mode, probe timing,
+    projections) is kept on :attr:`last_decision`.
     """
 
     name = "process-pool"
 
-    def __init__(self, workers: Optional[int] = None) -> None:
+    def __init__(self, workers: Optional[int] = None, *, auto: bool = False) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-
-    def map(
-        self,
-        fn: Callable,
-        items: Sequence,
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> List:
-        return _supervised_map(self, fn, items, progress)
-
-
-class AutoBackend:
-    """Measure a short serial probe, then pick serial vs pool.
-
-    The first :data:`PROBE_ITEMS` payloads run serially and their
-    results are kept; the measured per-item cost projects the serial
-    finish time for the remainder, which is compared against a
-    conservative estimate of the pool path (spawn + per-worker startup,
-    amortised execution).  Only when the pool projects a real win does
-    the remainder fan out.  A deadline or chaos schedule skips the
-    probe and pools the whole batch (:meth:`forced_pool`).
-
-    The decision changes wall-clock only, never bytes: payload order is
-    preserved and every payload is a pure function of its spec, so the
-    assembled outcome list is identical in both modes.  The last
-    decision (mode, probe timing, projections) is kept on
-    :attr:`last_decision` for benchmarks and reports.
-    """
-
-    name = "auto"
-
-    #: payloads run serially to estimate per-item cost
-    PROBE_ITEMS = 2
-    #: flat cost of standing up a spawn pool (interpreter + imports)
-    SPAWN_BASELINE_S = 0.8
-    #: additional cost per spawned worker
-    SPAWN_PER_WORKER_S = 0.4
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.auto = auto
+        #: the supervisor's last serial-vs-pool decision (``auto`` only)
         self.last_decision: Optional[dict] = None
-
-    def probe(
-        self, items: Sequence, runner: Callable[[object, int], object]
-    ) -> Tuple[bool, int]:
-        """Run the serial probe and decide; ``(use_pool, workers)``.
-
-        ``runner(item, position)`` executes each probe item and keeps
-        its result (the supervisor files it like any other outcome);
-        the remainder of ``items`` is the caller's to run — pooled over
-        ``workers`` when ``use_pool``.  The decision lands on
-        :attr:`last_decision`.
-        """
-        cpus = os.cpu_count() or 1
-        remainder = len(items) - self.PROBE_ITEMS
-        effective = min(self.workers, cpus, max(remainder, 1))
-        if effective < 2 or remainder < 2:
-            # Single CPU, a 1-worker cap, or a batch too small to
-            # amortise anything: the pool can only lose.
-            self.last_decision = {
-                "mode": "serial",
-                "reason": "single CPU or batch too small to amortise a pool",
-                "items": len(items),
-                "cpu_count": cpus,
-                "workers": effective,
-            }
-            return False, 1
-
-        start = time.perf_counter()
-        for position, item in enumerate(items[: self.PROBE_ITEMS]):
-            runner(item, position)
-        probe_s = time.perf_counter() - start
-        per_item_s = probe_s / self.PROBE_ITEMS
-        serial_estimate_s = per_item_s * remainder
-        pool_overhead_s = self.SPAWN_BASELINE_S + self.SPAWN_PER_WORKER_S * effective
-        pool_estimate_s = pool_overhead_s + serial_estimate_s / effective
-        use_pool = pool_estimate_s < serial_estimate_s
-        self.last_decision = {
-            "mode": "pool" if use_pool else "serial",
-            "reason": (
-                f"probe {per_item_s:.4f}s/item: projected serial "
-                f"{serial_estimate_s:.3f}s vs pool {pool_estimate_s:.3f}s "
-                f"({effective} workers)"
-            ),
-            "items": len(items),
-            "cpu_count": cpus,
-            "workers": effective,
-            "probe_s": round(probe_s, 6),
-            "projected_serial_s": round(serial_estimate_s, 6),
-            "projected_pool_s": round(pool_estimate_s, 6),
-        }
-        return use_pool, effective
-
-    def forced_pool(self, items: int) -> int:
-        """Worker count for a batch that must run pooled, probe skipped.
-
-        A supervisor deadline or a chaos schedule needs every flow
-        behind a process boundary, so nothing runs inline: the whole
-        batch goes to ``min(workers, cpu_count, items)`` workers.
-        """
-        cpus = os.cpu_count() or 1
-        workers = max(min(self.workers, cpus, items), 1)
-        self.last_decision = {
-            "mode": "pool",
-            "reason": "a deadline or chaos schedule forces a pool",
-            "items": items,
-            "cpu_count": cpus,
-            "workers": workers,
-        }
-        return workers
-
-    def map(
-        self,
-        fn: Callable,
-        items: Sequence,
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> List:
-        return _supervised_map(self, fn, items, progress)
 
 
 @dataclass
@@ -511,8 +378,8 @@ class Executor:
     ) -> "Executor":
         """Serial for ``workers <= 1``, a spawn pool otherwise.
 
-        The string ``"auto"`` selects :class:`AutoBackend`, which
-        probes the batch and picks serial vs pool per call;
+        The string ``"auto"`` selects ``ProcessPoolBackend(auto=True)``,
+        which probes the batch and picks serial vs pool per call;
         ``"fabric"`` runs the batch on the distributed campaign fabric
         (:class:`~repro.fabric.FabricBackend` — a lease coordinator
         plus worker processes, configured by the ambient
@@ -520,7 +387,9 @@ class Executor:
         """
         if workers == "auto":
             return cls(
-                backend=AutoBackend(), retry_policy=retry_policy, telemetry=telemetry
+                backend=ProcessPoolBackend(auto=True),
+                retry_policy=retry_policy,
+                telemetry=telemetry,
             )
         if workers == "fabric":
             # Imported lazily: repro.fabric sits above the executor in
@@ -554,11 +423,30 @@ class Executor:
     ) -> ExecutionResult:
         """Execute every spec; failures never abort the batch.
 
+        Every batch goes through one fixed pipeline, whatever the
+        placement (:attr:`backend`):
+
+        1. with a result store ambient
+           (:func:`~repro.store.scope.store_scope`), partition the
+           batch into store hits and misses, in this process;
+        2. run the misses through
+           :class:`~repro.exec.supervise.SupervisedBackend` — crash
+           recovery, deadlines, chaos, signal drain — on the placement:
+           serial, pool or fabric.  The ambient
+           :func:`~repro.exec.supervise.supervise_scope` policy applies
+           unless :attr:`backend` is itself a configured
+           ``SupervisedBackend``;
+        3. write the fresh results to the store;
+        4. build the report.
+
+        An all-hits batch stops after stage 1: nothing is supervised
+        and no process is spawned.
+
         ``report``, when given, is extended in place (several calls can
         accumulate into one campaign report); otherwise a fresh one is
         returned.  Accounting is replayed from the outcomes in spec
-        order, so the report's bytes do not depend on the backend or on
-        completion timing.
+        order, so the report's bytes do not depend on the placement or
+        on completion timing.
 
         When telemetry collection is on (``Executor(telemetry=True)``
         or an ambient :func:`~repro.telemetry.telemetry_scope`), every
@@ -568,6 +456,12 @@ class Executor:
         reporting, when enabled, writes to stderr only and never
         changes result bytes.
         """
+        # Imported lazily: the supervisor and the store import this module.
+        from repro.exec.supervise import SupervisedBackend, current_supervisor_policy
+        from repro.store import backend as cache
+        from repro.store.breaker import StoreCircuitBreaker
+        from repro.store.scope import current_store_config
+
         ambient = current_telemetry_config()
         collect = self.telemetry
         if collect is None:
@@ -577,24 +471,40 @@ class Executor:
             (index, spec, self.retry_policy)
             for index, spec in enumerate(prepared)
         ]
-        backend = self._effective_backend()
+        supervised = self.backend
+        if not isinstance(supervised, SupervisedBackend):
+            supervised = SupervisedBackend(
+                supervised, policy=current_supervisor_policy()
+            )
+        store = current_store_config()
         reporter: Optional[ProgressReporter] = None
+        progress: Optional[Callable[[int], None]] = None
         if ambient is not None and ambient.progress:
             reporter = ProgressReporter(
                 total=len(payloads), stream=ambient.progress_stream
             )
-        if reporter is None:
-            # No kwarg when off: custom backends only need the
-            # two-argument ``map(fn, items)`` signature.
-            outcomes: List[FlowOutcome] = backend.map(
-                _execute_payload, payloads
-            )
-        else:
-            try:
-                outcomes = backend.map(
-                    _execute_payload, payloads, reporter.update
+            progress = reporter.update
+        try:
+            if store is None:
+                outcomes = supervised.map(_execute_payload, payloads, progress)
+            else:
+                breaker = StoreCircuitBreaker(store.store)
+                outcomes, misses = cache.partition(
+                    breaker, payloads, refresh=store.refresh, progress=progress
                 )
-            finally:
+                fresh: List[FlowOutcome] = []
+                if misses:
+                    hits = len(payloads) - len(misses)
+                    fresh = supervised.map(
+                        _execute_payload,
+                        [miss.payload for miss in misses],
+                        None if progress is None else (
+                            lambda done: progress(hits + done)
+                        ),
+                    )
+                outcomes = cache.persist(breaker, misses, fresh, outcomes)
+        finally:
+            if reporter is not None:
                 reporter.finish()
         if report is None:
             report = CampaignReport()
@@ -622,45 +532,6 @@ class Executor:
                     report.cache_errors += 1
         telemetry = self._gather_telemetry(outcomes, ambient) if collect else None
         return ExecutionResult(outcomes=outcomes, report=report, telemetry=telemetry)
-
-    def _effective_backend(self):
-        """The configured backend, supervised and cache-wrapped.
-
-        Every run gets the supervision layer
-        (:class:`~repro.exec.supervise.SupervisedBackend` — crash
-        recovery, deadlines, signal drain) around the configured
-        backend, under the ambient
-        :func:`~repro.exec.supervise.supervise_scope` policy when one
-        is installed.  When a store is also ambient, the cache wrap
-        goes *outside* supervision — the hit/miss partition stays in
-        the parent and only genuine misses are supervised — and the
-        wrap happens per ``run`` call so one Executor honours whatever
-        :func:`~repro.store.scope.store_scope` is active at each call
-        site.  An explicitly configured
-        :class:`~repro.store.backend.CachedBackend` is left alone
-        entirely (the caller owns its composition).
-        """
-        from repro.exec.supervise import (
-            SupervisedBackend,
-            current_supervisor_policy,
-        )
-        from repro.store.backend import CachedBackend
-        from repro.store.scope import current_store_config
-
-        if isinstance(self.backend, CachedBackend):
-            return self.backend
-        if isinstance(self.backend, SupervisedBackend):
-            supervised = self.backend
-        else:
-            supervised = SupervisedBackend(
-                self.backend, policy=current_supervisor_policy()
-            )
-        config = current_store_config()
-        if config is None:
-            return supervised
-        return CachedBackend(
-            config.store, supervised, refresh=config.refresh
-        )
 
     @staticmethod
     def _gather_telemetry(

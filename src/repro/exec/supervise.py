@@ -1,4 +1,4 @@
-"""Fault-tolerant campaign supervision around executor backends.
+"""Fault-tolerant campaign supervision: the stage that runs every batch.
 
 The retry/quarantine loop of :mod:`repro.exec.executor` protects a
 campaign from flows that *raise*; this module protects it from failure
@@ -62,12 +62,8 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.exec.executor import (
-    AutoBackend,
-    FlowOutcome,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.exec.chaos import ChaosPlan
+from repro.exec.executor import FlowOutcome, ProcessPoolBackend, SerialBackend
 from repro.robustness.campaign import FlowFailure, QuarantineRecord, RetryPolicy
 from repro.util.errors import ConfigurationError
 
@@ -95,13 +91,17 @@ class SupervisorPolicy:
     preemptions before the supervisor gives up on the remainder;
     ``grace_s`` is how long a signal drain waits for in-flight flows
     before killing them; ``drain_signals=False`` leaves SIGINT/SIGTERM
-    handling entirely to the caller.
+    handling entirely to the caller.  ``chaos`` schedules injected
+    faults (:class:`~repro.exec.chaos.ChaosPlan`, tests only): the
+    supervisor hands each execution its action and forces the batch
+    into a pool, where the actions fire.
     """
 
     deadline_s: Optional[float] = None
     max_worker_restarts: int = 8
     grace_s: float = 10.0
     drain_signals: bool = True
+    chaos: Optional[ChaosPlan] = None
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s <= 0.0:
@@ -302,28 +302,34 @@ class _Batch:
 
 
 class SupervisedBackend:
-    """Crash-recovering, deadline-enforcing, drain-aware backend wrapper.
+    """Crash-recovering, deadline-enforcing, drain-aware batch runner.
 
-    Wraps any executor backend; the inner backend decides the execution
-    *mode* (serial inline vs worker pool, and the worker count), while
+    Runs a batch on a *placement*: the inner backend only says where
+    (serial inline, a worker pool and its width, or the fabric), while
     the supervisor owns the pool itself so it can kill and rebuild it.
-    This is the only code that runs a batch: the executor's pool and
-    auto backends delegate their own ``map`` here, and :meth:`_run_pooled`
-    is the only code that submits to a pool — first runs, retries,
-    killer isolation and deadline preemption alike.  Failure handling
-    needs the executor payload contract — ``(index, FlowSpec,
-    RetryPolicy)`` tuples mapped over a picklable function — which is
-    exactly what :class:`~repro.exec.executor.Executor` submits; a
-    batch that never fails may map any items (picklable when pooled).
+    :meth:`map` is the only code that runs a batch, and
+    :meth:`_run_pooled` the only code that submits to a pool — first
+    runs, retries, killer isolation and deadline preemption alike.
+    Failure handling needs the executor payload contract — ``(index,
+    FlowSpec, RetryPolicy)`` tuples mapped over a picklable function —
+    which is exactly what :class:`~repro.exec.executor.Executor`
+    submits; a batch that never fails may map any items (picklable when
+    pooled).
 
     A set ``deadline_s`` or a chaos schedule forces the whole batch
-    into a pool even for serial and auto inner backends (auto then
+    into a pool even for a serial or ``auto`` placement (auto then
     skips its inline probe): preemption needs a process boundary to
     kill across, and chaos actions only fire in a worker.
     """
 
     #: seconds between drain-flag polls while waiting on futures
     POLL_S = 0.5
+    #: payloads an ``auto`` placement runs serially to estimate per-item cost
+    PROBE_ITEMS = 2
+    #: flat cost of standing up a spawn pool (interpreter + imports)
+    SPAWN_BASELINE_S = 0.8
+    #: additional cost per spawned worker
+    SPAWN_PER_WORKER_S = 0.4
 
     def __init__(
         self,
@@ -336,22 +342,14 @@ class SupervisedBackend:
         #: True when the last ``map`` was cut short by a signal drain
         self.last_interrupted = False
 
-    @property
-    def name(self) -> str:
-        return f"supervised[{getattr(self.inner, 'name', 'backend')}]"
-
-    # -- chaos hooks (overridden by ChaosBackend) ----------------------
-
     def _action_for(
         self, payload: Tuple, execution: int
     ) -> Optional[Tuple]:
         """Chaos action for this payload's Nth execution (None = run)."""
-        return None
-
-    def _requires_pool(self, items: Sequence) -> bool:
-        """Whether this map must run in a pool regardless of the inner
-        backend (crash/hang actions would take the parent down)."""
-        return False
+        chaos = self.policy.chaos
+        if chaos is None:
+            return None
+        return chaos.action_for(payload[1].flow_id, execution)
 
     # -- the backend protocol ------------------------------------------
 
@@ -364,7 +362,7 @@ class SupervisedBackend:
         items = list(items)
         self.last_interrupted = False
         if getattr(self.inner, "self_supervising", False):
-            # A fabric backend owns its whole fault story — worker
+            # A fabric placement owns its whole fault story — worker
             # respawn, lease re-grants, per-shard retry — across a
             # process boundary this layer cannot see.  Wrapping it in
             # drain guards and pools here would only fight that
@@ -397,34 +395,103 @@ class SupervisedBackend:
     # -- mode selection ------------------------------------------------
 
     def _mode(self, fn, items, tracked, batch) -> Tuple[int, bool]:
-        """(workers, use_pool) for this batch, honouring the inner backend.
+        """(workers, use_pool) for this batch, honouring the placement.
 
-        An :class:`~repro.exec.executor.AutoBackend` inner still gets
-        its serial probe when nothing forces a pool: the head runs
-        inline here (its results are kept), and the probe's projection
-        decides whether the tail is worth a pool — the decision lands
-        on ``inner.last_decision``.
+        An ``auto`` pool placement still gets its serial probe when
+        nothing forces a pool: the head runs inline here (its results
+        are kept), and :meth:`_probe`'s projection decides whether the
+        tail is worth a pool.
         """
         inner = self.inner
-        forced = self._requires_pool(items) or self.policy.deadline_s is not None
-        if isinstance(inner, ProcessPoolBackend):
+        chaos = self.policy.chaos
+        forced = self.policy.deadline_s is not None or (
+            chaos is not None and chaos.needs_pool
+        )
+        if not isinstance(inner, ProcessPoolBackend):
+            # Serial (or unknown) placement: inline unless preemption
+            # or chaos forces a process boundary.
+            return 1, forced
+        if not inner.auto:
             workers = min(inner.workers, max(len(items), 1))
             return workers, workers > 1 or forced
-        if isinstance(inner, AutoBackend):
-            if forced:
-                # An inline probe would run its flows beyond the
-                # deadline's and the chaos schedule's reach.
-                return inner.forced_pool(len(items)), True
-            use_pool, workers = inner.probe(
-                items,
-                runner=lambda item, position: self._run_one_inline(
-                    fn, tracked[position], batch
-                ),
-            )
-            return workers, use_pool
-        # Serial (or unknown) inner: inline unless preemption forces a
-        # process boundary.
-        return 1, forced
+        if forced:
+            # An inline probe would run its flows beyond the deadline's
+            # and the chaos schedule's reach.
+            return self._forced_pool(inner, len(items)), True
+        return self._probe(fn, inner, tracked, batch)
+
+    def _probe(
+        self, fn, placement: ProcessPoolBackend, tracked, batch: _Batch
+    ) -> Tuple[int, bool]:
+        """Run an ``auto`` placement's serial probe and decide.
+
+        The first :data:`PROBE_ITEMS` flows run inline (their outcomes
+        are filed like any other); the measured per-item cost projects
+        the serial finish time for the remainder, which is compared
+        against a conservative estimate of the pool path (spawn +
+        per-worker startup, amortised execution).  Returns ``(workers,
+        use_pool)`` for the remainder; the decision lands on
+        ``placement.last_decision``.
+        """
+        items = len(tracked)
+        cpus = os.cpu_count() or 1
+        remainder = items - self.PROBE_ITEMS
+        effective = min(placement.workers, cpus, max(remainder, 1))
+        if effective < 2 or remainder < 2:
+            # Single CPU, a 1-worker cap, or a batch too small to
+            # amortise anything: the pool can only lose.
+            placement.last_decision = {
+                "mode": "serial",
+                "reason": "single CPU or batch too small to amortise a pool",
+                "items": items,
+                "cpu_count": cpus,
+                "workers": effective,
+            }
+            return 1, False
+
+        start = time.perf_counter()
+        for flow in tracked[: self.PROBE_ITEMS]:
+            self._run_one_inline(fn, flow, batch)
+        probe_s = time.perf_counter() - start
+        per_item_s = probe_s / self.PROBE_ITEMS
+        serial_estimate_s = per_item_s * remainder
+        pool_overhead_s = self.SPAWN_BASELINE_S + self.SPAWN_PER_WORKER_S * effective
+        pool_estimate_s = pool_overhead_s + serial_estimate_s / effective
+        use_pool = pool_estimate_s < serial_estimate_s
+        placement.last_decision = {
+            "mode": "pool" if use_pool else "serial",
+            "reason": (
+                f"probe {per_item_s:.4f}s/item: projected serial "
+                f"{serial_estimate_s:.3f}s vs pool {pool_estimate_s:.3f}s "
+                f"({effective} workers)"
+            ),
+            "items": items,
+            "cpu_count": cpus,
+            "workers": effective,
+            "probe_s": round(probe_s, 6),
+            "projected_serial_s": round(serial_estimate_s, 6),
+            "projected_pool_s": round(pool_estimate_s, 6),
+        }
+        return effective, use_pool
+
+    @staticmethod
+    def _forced_pool(placement: ProcessPoolBackend, items: int) -> int:
+        """Worker count for an ``auto`` batch that must run pooled.
+
+        A deadline or a chaos schedule needs every flow behind a
+        process boundary, so nothing runs inline: the whole batch goes
+        to ``min(workers, cpu_count, items)`` workers, probe skipped.
+        """
+        cpus = os.cpu_count() or 1
+        workers = max(min(placement.workers, cpus, items), 1)
+        placement.last_decision = {
+            "mode": "pool",
+            "reason": "a deadline or chaos schedule forces a pool",
+            "items": items,
+            "cpu_count": cpus,
+            "workers": workers,
+        }
+        return workers
 
     # -- inline execution ----------------------------------------------
 

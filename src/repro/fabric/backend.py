@@ -1,8 +1,8 @@
-"""FabricBackend: the executor backend that runs batches on the fabric.
+"""FabricBackend: the executor placement that runs batches on the fabric.
 
 ``Executor.for_workers("fabric")`` (the CLI's ``--workers fabric``)
-plugs the distributed fabric into the same funnel every other backend
-uses: ``map(fn, payloads)`` stands up a
+plugs the distributed fabric into the same pipeline every other
+placement uses: ``map(fn, payloads)`` stands up a
 :class:`~repro.fabric.coordinator.CampaignCoordinator` on an ephemeral
 localhost port, spawns ``workers`` local worker processes
 (``python -m repro.fabric work``), keeps them alive for the duration
@@ -10,19 +10,20 @@ localhost port, spawns ``workers`` local worker processes
 until every shard completes — returning outcomes in batch order, so
 reports and telemetry stay byte-identical to serial runs.
 
-The backend advertises ``self_supervising = True``:
+The backend advertises ``self_supervising = True``: it is the one
+placement with its own ``map``, and
 :class:`~repro.exec.supervise.SupervisedBackend` delegates the batch to
 it, because the fabric's fault story (lease expiry, epoch arbitration,
 worker respawn) already covers everything the in-process supervisor
 would add, across a boundary the supervisor cannot see.  The one thing
-the supervisor still owns is the chaos schedule: it hands ``map`` its
-``action_for`` hook, and the coordinator ships each payload's action
-inside its lease.
+the supervisor still owns is the chaos schedule of its policy: it hands
+``map`` its ``action_for`` hook, and the coordinator ships each
+payload's action inside its lease.
 
-The backend never touches a result store.  The driver's cache wrap
-(installed by the executor under :func:`~repro.store.scope.store_scope`)
-partitions hits from misses before the batch reaches the fabric and
-writes every returned outcome back, so workers need nothing but the
+The backend never touches a result store.  Under
+:func:`~repro.store.scope.store_scope` the executor's store stages
+partition hits from misses before the batch reaches the fabric and
+write every returned outcome back, so workers need nothing but the
 coordinator URL.
 
 Configuration is ambient, like every other campaign knob:
@@ -211,8 +212,9 @@ class FabricBackend:
     """Run executor batches on the distributed campaign fabric."""
 
     name = "fabric"
-    #: SupervisedBackend delegates to us instead of wrapping: the
-    #: fabric owns its own fault handling across process boundaries.
+    #: SupervisedBackend hands the batch to this map instead of running
+    #: it: the fabric owns its own fault handling across process
+    #: boundaries.
     self_supervising = True
 
     def __init__(self, config: Optional[FabricConfig] = None) -> None:

@@ -7,11 +7,12 @@ registry and engine schema versions) addresses its entire result:
 
 * :class:`ResultStore` — sharded ``<root>/ab/abcdef….json.gz`` entries
   with integrity digests, atomic writes, and corruption quarantine;
-* :class:`CachedBackend` — wraps any executor backend, serves hits
-  from the store, runs only the misses, merges in spec order —
-  cached campaigns stay byte-identical to uncached ones;
 * :func:`store_scope` — the ambient plumbing behind the experiments
-  CLI's ``--store DIR`` / ``--no-cache`` flags.
+  CLI's ``--store DIR`` / ``--no-cache`` flags: with a store ambient,
+  every :meth:`Executor.run <repro.exec.Executor.run>` serves hits from
+  it, runs only the misses and merges in spec order
+  (:mod:`repro.store.backend`) — cached campaigns stay byte-identical
+  to uncached ones.
 
 Resumability falls out: a campaign killed midway has already persisted
 every completed flow, so rerunning the same command executes only the
@@ -23,7 +24,6 @@ integrity digests, same read/write surface (:func:`open_store` turns
 either spelling, directory or ``http://`` URL, into a store).
 """
 
-from repro.store.backend import CachedBackend
 from repro.store.breaker import StoreCircuitBreaker
 from repro.store.disk import (
     CorruptEntryError,
@@ -48,7 +48,6 @@ from repro.store.scope import (
 )
 
 __all__ = [
-    "CachedBackend",
     "CorruptEntryError",
     "ENGINE_SCHEMA_VERSION",
     "RemoteStore",

@@ -1,136 +1,113 @@
-"""CachedBackend: hit/miss partitioning around any executor backend.
+"""The result store's two stages of :meth:`Executor.run
+<repro.exec.executor.Executor.run>`, both in the parent process.
 
-Wraps a :class:`~repro.exec.executor.SerialBackend`,
-:class:`~repro.exec.executor.ProcessPoolBackend`, or
-:class:`~repro.exec.executor.AutoBackend` (anything with the backend
-``map`` protocol) and consults a :class:`~repro.store.disk.ResultStore`
-before running anything:
+:func:`partition` content-hashes every payload's spec and decodes the
+hits straight from the store; the executor runs only the misses;
+:func:`persist` writes the fresh successful results back and files
+every outcome at its payload position.  A cached campaign is therefore
+byte-identical to an uncached one, and an all-hits batch (a warm rerun,
+or the finished part of a resumed campaign) never reaches a placement
+or spawns a process.
 
-1. every payload's spec is content-hashed (:func:`~repro.store.keys.flow_key`);
-2. hits are decoded straight from the store — the simulator never runs;
-3. only the misses go to the inner backend, exactly as a smaller batch;
-4. fresh successful results are persisted, and the merged outcome list
-   is returned **in the original payload order**, so a cached campaign
-   is byte-identical to an uncached one.
-
-Because all-hit batches hand the inner backend an empty list, a warm
-rerun of a pool campaign never even spawns workers — resuming a killed
-255-flow campaign costs only the flows that were still missing.
-
-Specs that cannot be content-hashed (opaque callables in their graph)
-run fresh every time and are never stored; corrupt entries are
-quarantined by the store and recomputed here.  The partition of the
-last ``map`` call is kept on :attr:`last_stats` for benchmarks and
-reports.
+Store I/O goes through one :class:`~repro.store.breaker.StoreCircuitBreaker`
+per batch: a failing disk degrades the batch to uncached execution
+(``cache_state="error"``) instead of aborting it.  Specs that cannot be
+content-hashed run fresh every time and are never stored; corrupt
+entries are quarantined by the store and recomputed.  ``flow_key``,
+``encode_outcome`` and ``decode_outcome`` are looked up as this
+module's globals, which is where ``campaignbench`` times them.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.exec.executor import FlowOutcome, SerialBackend
+from repro.exec.executor import FlowOutcome
 from repro.store.breaker import StoreCircuitBreaker
 from repro.store.format import decode_outcome, encode_outcome
-from repro.store.remote import open_store
 from repro.store.keys import UnhashableSpecError, flow_key
 
-__all__ = ["CachedBackend"]
+__all__ = ["Miss", "partition", "persist"]
 
 
-class CachedBackend:
-    """A result-store read-through/write-through cache over a backend.
+class Miss(NamedTuple):
+    """A payload the store could not serve, and what persisting it needs."""
 
-    ``refresh=True`` (the CLI's ``--no-cache``) skips all reads but
-    still writes: every flow recomputes and overwrites its entry —
-    cache repair, not cache bypass.
+    position: int
+    payload: Tuple
+    #: None for an uncacheable spec: it runs, but is never stored
+    key: Optional[str]
+    corrupt: bool
+    #: the store failed while reading this entry
+    degraded: bool
 
-    Store I/O goes through a fresh
-    :class:`~repro.store.breaker.StoreCircuitBreaker` per ``map`` call:
-    a failing disk degrades the batch to uncached execution
-    (``cache_state="error"`` on the affected outcomes) instead of
-    aborting it.
+
+def partition(
+    breaker: StoreCircuitBreaker,
+    payloads: Sequence[Tuple],
+    *,
+    refresh: bool = False,
+    progress: Optional[Callable[[int], None]] = None,
+) -> Tuple[List[Optional[FlowOutcome]], List[Miss]]:
+    """Serve what the store holds; ``(outcomes, misses)``.
+
+    ``outcomes`` holds the decoded hits at their positions and None
+    where a miss still has to run.  ``refresh=True`` (the CLI's
+    ``--no-cache``) skips every read but keeps the keys, so
+    :func:`persist` still writes: each flow recomputes and overwrites
+    its entry — cache repair, not cache bypass.  ``progress`` is called
+    with the running hit count.
     """
+    outcomes: List[Optional[FlowOutcome]] = [None] * len(payloads)
+    misses: List[Miss] = []
+    hits = 0
+    for position, payload in enumerate(payloads):
+        index, spec, _policy = payload
+        try:
+            key = flow_key(spec)
+        except UnhashableSpecError:
+            key = None
+        stored = None
+        corrupt = degraded = False
+        if key is not None and not refresh:
+            stored, corrupt, degraded = breaker.get(key)
+        if stored is None:
+            misses.append(Miss(position, payload, key, corrupt, degraded))
+            continue
+        outcome = decode_outcome(stored, index=index, spec=spec)
+        outcome.cache_state = "hit"
+        outcomes[position] = outcome
+        hits += 1
+        if progress is not None:
+            progress(hits)
+    return outcomes, misses
 
-    def __init__(self, store, inner=None, *, refresh: bool = False) -> None:
-        if isinstance(store, (str, os.PathLike)):
-            # Accepts a directory path or an http:// store-server URL.
-            store = open_store(store)
-        self.store = store
-        self.inner = inner if inner is not None else SerialBackend()
-        self.refresh = refresh
-        #: partition of the last map call: hits/misses/corrupt/uncacheable
-        self.last_stats: Optional[Dict[str, int]] = None
 
-    @property
-    def name(self) -> str:
-        return f"cached[{getattr(self.inner, 'name', 'backend')}]"
+def persist(
+    breaker: StoreCircuitBreaker,
+    misses: Sequence[Miss],
+    fresh: Sequence[FlowOutcome],
+    outcomes: List[Optional[FlowOutcome]],
+) -> List[FlowOutcome]:
+    """Store the misses' fresh outcomes and file them into ``outcomes``.
 
-    def map(
-        self,
-        fn: Callable,
-        items: Sequence,
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> List[FlowOutcome]:
-        items = list(items)
-        breaker = StoreCircuitBreaker(self.store)
-        outcomes: List[Optional[FlowOutcome]] = [None] * len(items)
-        misses = []  # (position, payload, key, was_corrupt, degraded)
-        hits = corrupt = uncacheable = errors = 0
-        for position, payload in enumerate(items):
-            index, spec, _policy = payload
-            try:
-                key = flow_key(spec)
-            except UnhashableSpecError:
-                key = None
-                uncacheable += 1
-            stored = None
-            was_corrupt = degraded = False
-            if key is not None and not self.refresh:
-                stored, was_corrupt, degraded = breaker.get(key)
-                if was_corrupt:
-                    corrupt += 1
-            if stored is not None:
-                outcome = decode_outcome(stored, index=index, spec=spec)
-                outcome.cache_state = "hit"
-                outcomes[position] = outcome
-                hits += 1
-                if progress is not None:
-                    progress(hits)
-            else:
-                misses.append((position, payload, key, was_corrupt, degraded))
-
-        if misses:
-            inner_progress = (
-                None if progress is None else (lambda done: progress(hits + done))
-            )
-            fresh = self.inner.map(
-                fn, [payload for _, payload, _, _, _ in misses], inner_progress
-            )
-            for (position, _payload, key, was_corrupt, degraded), outcome in zip(
-                misses, fresh
-            ):
-                if outcome.skipped:
-                    # A signal drain never ran this spec: nothing to
-                    # persist, nothing to label.
-                    outcomes[position] = outcome
-                    continue
-                stored_ok = True
-                if key is not None and outcome.ok:
-                    stored_ok = breaker.put(key, encode_outcome(outcome))
-                if degraded or not stored_ok:
-                    outcome.cache_state = "error"
-                    errors += 1
-                else:
-                    outcome.cache_state = "corrupt" if was_corrupt else "miss"
-                outcomes[position] = outcome
-
-        self.last_stats = {
-            "items": len(items),
-            "hits": hits,
-            "misses": len(misses),
-            "corrupt": corrupt,
-            "uncacheable": uncacheable,
-            "errors": errors,
-        }
-        return outcomes
+    ``fresh`` holds one outcome per miss, in order.  Each is labelled
+    ``"miss"``, ``"corrupt"`` (recomputed after quarantining a damaged
+    entry) or ``"error"`` (the store failed around it); only successful
+    outcomes of hashable specs are written.  Returns ``outcomes``, now
+    the whole batch in payload order.
+    """
+    for miss, outcome in zip(misses, fresh):
+        outcomes[miss.position] = outcome
+        if outcome.skipped:
+            # A signal drain never ran this spec: nothing to persist,
+            # nothing to label.
+            continue
+        stored_ok = True
+        if miss.key is not None and outcome.ok:
+            stored_ok = breaker.put(miss.key, encode_outcome(outcome))
+        if miss.degraded or not stored_ok:
+            outcome.cache_state = "error"
+        else:
+            outcome.cache_state = "corrupt" if miss.corrupt else "miss"
+    return outcomes

@@ -13,7 +13,7 @@ the operator learns the campaign is running uncached.
 
 A success while the circuit is still closed resets the consecutive
 count (a blip is a blip); an open circuit stays open for the breaker's
-lifetime — one ``CachedBackend.map`` batch — because a disk that just
+lifetime — one ``Executor.run`` batch — because a disk that just
 filled does not un-fill mid-campaign, and re-probing it per flow would
 pay the failure latency hundreds of times.  The next campaign run gets
 a fresh breaker and re-probes naturally.

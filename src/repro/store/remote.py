@@ -14,9 +14,8 @@ Two halves, one wire format:
 
 * :class:`RemoteStore` — a client satisfying the ``ResultStore``
   read/write surface (``get`` / ``put`` / ``load`` / ``quarantine`` /
-  ``stats``), so :class:`~repro.store.backend.CachedBackend` and
-  :func:`~repro.store.scope.store_scope` can point at
-  ``http://host:port`` wherever they accept a store.  One
+  ``stats``), so :func:`~repro.store.scope.store_scope` can point at
+  ``http://host:port`` wherever a store is accepted.  One
   ``HTTPConnection`` is kept per client and reused across requests;
   transient transport failures get bounded retries with seeded-jitter
   exponential backoff (:class:`~repro.robustness.campaign.RetryPolicy`'s

@@ -3,9 +3,9 @@
 Mirrors :func:`repro.robustness.faults.fault_scope` and
 :func:`repro.telemetry.telemetry_scope`: a ContextVar scope installs a
 :class:`StoreConfig`, and :meth:`Executor.run
-<repro.exec.executor.Executor.run>` wraps its backend in a
-:class:`~repro.store.backend.CachedBackend` whenever one is ambient —
-which is how ``--store DIR`` reaches every executor-driven campaign and
+<repro.exec.executor.Executor.run>` partitions its batch against the
+store and persists the fresh results (:mod:`repro.store.backend`)
+whenever one is ambient — which is how ``--store DIR`` reaches every executor-driven campaign and
 sweep without threading a parameter through 18 experiment drivers.
 
 Like the other ambient scopes this does **not** cross a spawn boundary;

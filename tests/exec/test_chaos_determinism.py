@@ -12,9 +12,9 @@ a degraded run debuggable: chaos is data, not noise.
 import pytest
 
 from repro.exec import Executor, ProcessPoolBackend
-from repro.exec.chaos import ChaosBackend, ChaosPlan
+from repro.exec.chaos import ChaosPlan
 from repro.exec.spec import FlowSpec
-from repro.exec.supervise import SupervisorPolicy
+from repro.exec.supervise import SupervisedBackend, SupervisorPolicy
 from repro.hsr import CHINA_MOBILE, hsr_scenario
 from repro.store import ResultStore, flow_key
 from repro.store.scope import store_scope
@@ -92,10 +92,9 @@ class TestDeterminismGate:
         with store_scope(store_root):
             Executor().run([victim])
             rot_entry(ResultStore(store_root), flow_key(victim))
-            backend = ChaosBackend(
-                plan,
+            backend = SupervisedBackend(
                 ProcessPoolBackend(2),
-                policy=SupervisorPolicy(deadline_s=2.0),
+                policy=SupervisorPolicy(deadline_s=2.0, chaos=plan),
             )
             result = Executor(backend=backend).run(batch)
         return plan, result

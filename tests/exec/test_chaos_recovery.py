@@ -11,10 +11,10 @@ import os
 
 import pytest
 
-from repro.exec import AutoBackend, Executor, ProcessPoolBackend, SerialBackend
-from repro.exec.chaos import ChaosBackend, ChaosPlan
+from repro.exec import Executor, ProcessPoolBackend, SerialBackend
+from repro.exec.chaos import ChaosPlan
 from repro.exec.spec import FlowSpec
-from repro.exec.supervise import SupervisorPolicy
+from repro.exec.supervise import SupervisedBackend, SupervisorPolicy
 from repro.robustness.campaign import RetryPolicy
 from repro.simulator.connection import ConnectionConfig
 
@@ -24,6 +24,13 @@ def spec(seed=0, flow_id="flow", duration=2.0):
         config=ConnectionConfig(duration=duration, wmax=16.0),
         seed=seed,
         flow_id=flow_id,
+    )
+
+
+def chaotic(plan, placement, **policy):
+    """``placement`` supervised under ``plan`` (and any other policy)."""
+    return SupervisedBackend(
+        placement, policy=SupervisorPolicy(chaos=plan, **policy)
     )
 
 
@@ -37,7 +44,7 @@ def specs(n, duration=2.0):
 class TestCrashRecovery:
     def test_crash_once_then_recover(self):
         plan = ChaosPlan(crash={"f/1": (0,)})
-        backend = ChaosBackend(plan, ProcessPoolBackend(2))
+        backend = chaotic(plan, ProcessPoolBackend(2))
         result = Executor(backend=backend).run(specs(4))
         report = result.report
         assert report.succeeded == 4
@@ -58,7 +65,7 @@ class TestCrashRecovery:
         # Two workers, one killer: whoever shares the pool at crash
         # time is a bystander and must end up with a clean record.
         plan = ChaosPlan(crash={"f/2": (0,)})
-        backend = ChaosBackend(plan, ProcessPoolBackend(2))
+        backend = chaotic(plan, ProcessPoolBackend(2))
         result = Executor(backend=backend).run(specs(6))
         report = result.report
         assert report.succeeded == 6
@@ -72,14 +79,14 @@ class TestCrashRecovery:
         plan = ChaosPlan(crash={"f/0": (0,), "f/3": (0,)})
         runs = []
         for _ in range(2):
-            backend = ChaosBackend(plan, ProcessPoolBackend(2))
+            backend = chaotic(plan, ProcessPoolBackend(2))
             runs.append(Executor(backend=backend).run(specs(5)))
         assert runs[0].report.to_json() == runs[1].report.to_json()
         assert runs[0].report.succeeded == 5
 
     def test_repeated_crash_exhausts_budget_and_quarantines(self):
         plan = ChaosPlan(crash={"f/0": (0, 1, 2)})
-        backend = ChaosBackend(plan, ProcessPoolBackend(1))
+        backend = chaotic(plan, ProcessPoolBackend(1))
         result = Executor(
             backend=backend, retry_policy=RetryPolicy(max_retries=2)
         ).run(specs(2))
@@ -99,11 +106,7 @@ class TestCrashRecovery:
         # supervisor quarantines everything unfinished instead of
         # rebuilding pools forever against sick infrastructure.
         plan = ChaosPlan(crash={"f/0": (0,)})
-        backend = ChaosBackend(
-            plan,
-            ProcessPoolBackend(1),
-            policy=SupervisorPolicy(max_worker_restarts=0),
-        )
+        backend = chaotic(plan, ProcessPoolBackend(1), max_worker_restarts=0)
         result = Executor(backend=backend).run(specs(3))
         report = result.report
         assert report.attempted == 3
@@ -125,10 +128,8 @@ class TestCrashRecovery:
         # flow is killed or quarantined before it finishes, so the
         # length costs no time.
         plan = ChaosPlan(crash={"f/0": (0, 1)})
-        backend = ChaosBackend(
-            plan,
-            ProcessPoolBackend(workers),
-            policy=SupervisorPolicy(max_worker_restarts=1),
+        backend = chaotic(
+            plan, ProcessPoolBackend(workers), max_worker_restarts=1
         )
         report = Executor(backend=backend).run(specs(6, duration=600.0)).report
         assert report.quarantined == 6
@@ -141,7 +142,7 @@ class TestCrashRecovery:
 class TestInjectedRaise:
     def test_raise_is_classified_and_retried(self):
         plan = ChaosPlan(raise_={"f/1": (0,)})
-        backend = ChaosBackend(plan, SerialBackend())
+        backend = chaotic(plan, SerialBackend())
         result = Executor(backend=backend).run(specs(3))
         report = result.report
         assert report.succeeded == 3
@@ -156,7 +157,7 @@ class TestInjectedRaise:
         # raise-only plan must force the pool even for a serial inner.
         plan = ChaosPlan(raise_={"f/0": (0,)})
         assert plan.needs_pool
-        backend = ChaosBackend(plan, SerialBackend())
+        backend = chaotic(plan, SerialBackend())
         result = Executor(backend=backend).run(specs(1))
         assert len(result.report.failures) == 1  # the action really fired
 
@@ -164,11 +165,7 @@ class TestInjectedRaise:
 class TestDeadlinePreemption:
     def test_hung_flow_is_killed_and_retried(self):
         plan = ChaosPlan(hang={"f/1": (0,)}, hang_s=30.0)
-        backend = ChaosBackend(
-            plan,
-            ProcessPoolBackend(2),
-            policy=SupervisorPolicy(deadline_s=1.5),
-        )
+        backend = chaotic(plan, ProcessPoolBackend(2), deadline_s=1.5)
         result = Executor(backend=backend).run(specs(3))
         report = result.report
         assert report.succeeded == 3
@@ -182,11 +179,7 @@ class TestDeadlinePreemption:
 
     def test_bystanders_of_a_preemption_stay_clean(self):
         plan = ChaosPlan(hang={"f/0": (0,)}, hang_s=30.0)
-        backend = ChaosBackend(
-            plan,
-            ProcessPoolBackend(2),
-            policy=SupervisorPolicy(deadline_s=1.5),
-        )
+        backend = chaotic(plan, ProcessPoolBackend(2), deadline_s=1.5)
         result = Executor(backend=backend).run(specs(4))
         assert result.report.succeeded == 4
         for outcome in result.outcomes:
@@ -201,10 +194,12 @@ class TestForcedPool:
         # inline, out of the schedule's reach.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         plan = ChaosPlan(raise_={"f/0": (0,)})
-        auto = Executor(backend=ChaosBackend(plan, AutoBackend(2))).run(specs(6))
+        auto = Executor(
+            backend=chaotic(plan, ProcessPoolBackend(2, auto=True))
+        ).run(specs(6))
         (failure,) = auto.report.failures
         assert (failure.flow_id, failure.error_type) == ("f/0", "ChaosError")
         pool = Executor(
-            backend=ChaosBackend(plan, ProcessPoolBackend(2))
+            backend=chaotic(plan, ProcessPoolBackend(2))
         ).run(specs(6))
         assert auto.report.to_json() == pool.report.to_json()

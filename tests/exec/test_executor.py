@@ -8,6 +8,7 @@ from repro.exec import (
     FlowSpec,
     ProcessPoolBackend,
     SerialBackend,
+    SupervisedBackend,
     simulate_spec,
 )
 from repro.robustness.campaign import CampaignReport, RetryPolicy
@@ -51,7 +52,8 @@ class TestBackendSelection:
 
     def test_pool_with_one_worker_runs_inline(self):
         # No pool is spun up, so results come back regardless of pickling.
-        outcome = ProcessPoolBackend(1).map(lambda x: x * 2, [1, 2, 3])
+        placement = ProcessPoolBackend(1)
+        outcome = SupervisedBackend(placement).map(lambda x: x * 2, [1, 2, 3])
         assert outcome == [2, 4, 6]
 
 
@@ -154,9 +156,8 @@ def _double(x):
 
 class TestAutoBackend:
     def test_for_workers_auto_selects_auto_backend(self):
-        from repro.exec import AutoBackend
-
-        assert isinstance(Executor.for_workers("auto").backend, AutoBackend)
+        backend = Executor.for_workers("auto").backend
+        assert isinstance(backend, ProcessPoolBackend) and backend.auto
 
     def test_for_workers_rejects_other_strings(self):
         for workers in ("turbo", "lockstep", "warp-speed"):
@@ -164,43 +165,36 @@ class TestAutoBackend:
                 Executor.for_workers(workers)
 
     def test_rejects_nonpositive_workers(self):
-        from repro.exec import AutoBackend
-
         with pytest.raises(ConfigurationError):
-            AutoBackend(0)
+            ProcessPoolBackend(0, auto=True)
 
     def test_small_batch_stays_serial_and_records_decision(self):
-        from repro.exec import AutoBackend
-
-        backend = AutoBackend()
-        assert backend.map(_double, [1, 2, 3]) == [2, 4, 6]
+        backend = ProcessPoolBackend(auto=True)
+        assert SupervisedBackend(backend).map(_double, [1, 2, 3]) == [2, 4, 6]
         decision = backend.last_decision
         assert decision["mode"] == "serial"
         assert decision["items"] == 3
         assert decision["cpu_count"] >= 1
 
     def test_cheap_batch_projects_serial(self, monkeypatch):
-        from repro.exec import AutoBackend
-
         # Pretend the host has cores to spare: a near-zero per-item
         # cost must still project serial, because the pool's spawn
         # overhead can never be amortised.
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        backend = AutoBackend()
-        assert backend.map(_double, list(range(50))) == [x * 2 for x in range(50)]
+        backend = ProcessPoolBackend(auto=True)
+        doubled = SupervisedBackend(backend).map(_double, list(range(50)))
+        assert doubled == [x * 2 for x in range(50)]
         decision = backend.last_decision
         assert decision["mode"] == "serial"
         assert decision["projected_pool_s"] > decision["projected_serial_s"]
 
     def test_forced_pool_is_byte_identical_to_serial(self, monkeypatch):
-        from repro.exec import AutoBackend
-
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(AutoBackend, "SPAWN_BASELINE_S", -1e9)
-        monkeypatch.setattr(AutoBackend, "SPAWN_PER_WORKER_S", 0.0)
+        monkeypatch.setattr(SupervisedBackend, "SPAWN_BASELINE_S", -1e9)
+        monkeypatch.setattr(SupervisedBackend, "SPAWN_PER_WORKER_S", 0.0)
         specs = [spec(seed=i, flow_id=f"auto/{i}") for i in range(4)]
         serial = Executor().run(specs)
-        backend = AutoBackend(2)
+        backend = ProcessPoolBackend(2, auto=True)
         pooled = Executor(backend=backend).run(specs)
         assert backend.last_decision["mode"] == "pool"
         assert serial.report.to_json() == pooled.report.to_json()

@@ -7,7 +7,7 @@ import signal
 import pytest
 
 from repro.exec import (
-    AutoBackend,
+    ChaosPlan,
     Executor,
     FlowSpec,
     ProcessPoolBackend,
@@ -126,7 +126,7 @@ class TestRetryTaxonomy:
 class TestSupervisedBackendInline:
     def test_serial_inner_byte_identical_to_bare(self):
         batch = payloads(3)
-        bare = SerialBackend().map(_execute_payload, batch)
+        bare = [_execute_payload(payload) for payload in batch]
         supervised = SupervisedBackend(SerialBackend()).map(
             _execute_payload, batch
         )
@@ -136,25 +136,37 @@ class TestSupervisedBackendInline:
             assert a.result.throughput == b.result.throughput
             assert a.result.log.data_sent == b.result.log.data_sent
 
-    def test_name_nests(self):
-        backend = SupervisedBackend(SerialBackend())
-        assert backend.name == "supervised[serial]"
+    def test_executor_wraps_by_default(self, monkeypatch):
+        seen = []
+        real = SupervisedBackend.map
 
-    def test_executor_wraps_by_default(self):
-        executor = Executor()
-        effective = executor._effective_backend()
-        assert isinstance(effective, SupervisedBackend)
-        assert isinstance(effective.inner, SerialBackend)
+        def spy(self, fn, items, progress=None):
+            seen.append((type(self.inner), self.policy))
+            return real(self, fn, items, progress)
+
+        monkeypatch.setattr(SupervisedBackend, "map", spy)
+        Executor().run([spec(seed=1)])
+        assert seen == [(SerialBackend, SupervisorPolicy())]
 
     def test_executor_honours_ambient_policy(self):
-        policy = SupervisorPolicy(max_worker_restarts=2)
+        # The ambient policy's chaos schedule reaches the batch: the
+        # injected raise fires and is retried.
+        policy = SupervisorPolicy(chaos=ChaosPlan(raise_={"flow": (0,)}))
         with supervise_scope(policy):
-            effective = Executor()._effective_backend()
-        assert effective.policy is policy
+            report = Executor().run([spec(seed=1)]).report
+        assert [f.error_type for f in report.failures] == ["ChaosError"]
+        assert report.succeeded == 1
 
     def test_explicit_supervised_backend_not_rewrapped(self):
-        backend = SupervisedBackend(SerialBackend())
-        assert Executor(backend=backend)._effective_backend() is backend
+        # A configured SupervisedBackend is not re-supervised under the
+        # ambient policy: its own chaos schedule still fires.
+        backend = SupervisedBackend(
+            SerialBackend(),
+            policy=SupervisorPolicy(chaos=ChaosPlan(raise_={"flow": (0,)})),
+        )
+        with supervise_scope(SupervisorPolicy()):
+            report = Executor(backend=backend).run([spec(seed=1)]).report
+        assert [f.error_type for f in report.failures] == ["ChaosError"]
 
     def test_progress_counts_every_flow(self):
         seen = []
@@ -176,13 +188,13 @@ class TestSupervisedBackendPooled:
             assert a.result.log.data_sent == b.result.log.data_sent
             assert a.failures == b.failures
 
-    def test_bare_pool_map_survives_a_worker_crash(self):
-        # ProcessPoolBackend.map runs through the supervisor, so a dead
-        # worker costs one flow, not the batch: the killer is isolated
-        # and quarantined (no retry budget), the rest match serial.
+    def test_pool_map_survives_a_worker_crash(self):
+        # A dead worker costs one flow, not the batch: the killer is
+        # isolated and quarantined (no retry budget), the rest match
+        # serial.
         batch = payloads(4, RetryPolicy(max_retries=0))
-        serial = SerialBackend().map(_execute_payload, batch)
-        outcomes = ProcessPoolBackend(2).map(_die_on_s1, batch)
+        serial = [_execute_payload(payload) for payload in batch]
+        outcomes = SupervisedBackend(ProcessPoolBackend(2)).map(_die_on_s1, batch)
         assert [o.spec.flow_id for o in outcomes] == [f"s/{i}" for i in range(4)]
         crashes = [
             f for o in outcomes for f in o.failures
@@ -199,7 +211,7 @@ class TestSupervisedBackendPooled:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         batch = payloads(3)
         inline = SupervisedBackend(SerialBackend()).map(_execute_payload, batch)
-        auto = AutoBackend(2)
+        auto = ProcessPoolBackend(2, auto=True)
         pooled = SupervisedBackend(
             auto, policy=SupervisorPolicy(deadline_s=60.0)
         ).map(_execute_payload, batch)

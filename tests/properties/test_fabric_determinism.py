@@ -16,7 +16,8 @@ order regardless of which worker produced them.
 import pickle
 
 from repro.exec import Executor, FlowSpec
-from repro.exec.chaos import ChaosBackend, ChaosPlan
+from repro.exec.chaos import ChaosPlan
+from repro.exec.supervise import SupervisedBackend, SupervisorPolicy
 from repro.fabric import FabricBackend, FabricConfig, ShardPlan
 from repro.hsr import CHINA_MOBILE, CHINA_TELECOM, hsr_scenario
 from repro.store import StoreServer, store_scope
@@ -68,7 +69,8 @@ def _chaotic_fabric(specs):
         max_worker_restarts=4,
     )
     fabric = FabricBackend(config)
-    return Executor(backend=ChaosBackend(_mid_shard_crash(specs), inner=fabric)), fabric
+    policy = SupervisorPolicy(chaos=_mid_shard_crash(specs))
+    return Executor(backend=SupervisedBackend(fabric, policy=policy)), fabric
 
 
 class TestKillAndRejoin:

@@ -9,25 +9,19 @@ everything.  ``with_faults`` now attaches the plan declaratively as a
 the warm cache exactly like clean ones.
 """
 
-from repro.exec.executor import _execute_payload
+from repro.exec.executor import Executor
 from repro.exec.spec import FlowSpec
 from repro.hsr import CHINA_MOBILE, hsr_scenario
-from repro.robustness.campaign import RetryPolicy
 from repro.robustness.faults import FaultPlan, with_faults
-from repro.store import CachedBackend, flow_key
-from tests.store.test_backend import CountingBackend
+from repro.store import ResultStore, flow_key
+from repro.store.scope import store_scope
 
 
-def _chaos_payloads(n=3):
+def _chaos_specs(n=3):
     scenario = with_faults(hsr_scenario(CHINA_MOBILE), FaultPlan.aggressive())
     return [
-        (
-            i,
-            FlowSpec(
-                scenario=scenario, duration=3.0, seed=70 + i,
-                flow_id=f"chaos/{i}",
-            ),
-            RetryPolicy(),
+        FlowSpec(
+            scenario=scenario, duration=3.0, seed=70 + i, flow_id=f"chaos/{i}",
         )
         for i in range(n)
     ]
@@ -35,7 +29,7 @@ def _chaos_payloads(n=3):
 
 class TestChaosCaching:
     def test_faulted_spec_is_hashable(self):
-        _, spec, _ = _chaos_payloads(1)[0]
+        (spec,) = _chaos_specs(1)
         key = flow_key(spec)
         assert key is not None
         # The plan's parameters are part of the identity: a different
@@ -47,34 +41,26 @@ class TestChaosCaching:
         )
         assert flow_key(other) != key
 
-    def test_chaos_rerun_hits_warm_cache(self, tmp_path):
-        inner = CountingBackend()
-        backend = CachedBackend(tmp_path / "store", inner)
-        payloads = _chaos_payloads(3)
-        cold = backend.map(_execute_payload, payloads)
-        assert [o.cache_state for o in cold] == ["miss"] * 3
-        assert backend.last_stats["uncacheable"] == 0
-        warm = backend.map(_execute_payload, payloads)
-        assert inner.total == 3  # the rerun simulated nothing
-        assert [o.cache_state for o in warm] == ["hit"] * 3
-        assert backend.last_stats == {
-            "items": 3, "hits": 3, "misses": 0, "corrupt": 0,
-            "uncacheable": 0, "errors": 0,
-        }
+    def test_chaos_rerun_hits_warm_cache(self, tmp_path, simulated):
+        store = ResultStore(tmp_path / "store")
+        specs = _chaos_specs(3)
+        with store_scope(store):
+            cold = Executor().run(specs)
+            assert [o.cache_state for o in cold.outcomes] == ["miss"] * 3
+            assert store.stats().entries == 3  # every faulted flow hashed
+            warm = Executor().run(specs)
+        assert simulated == [3]  # the rerun simulated nothing
+        assert [o.cache_state for o in warm.outcomes] == ["hit"] * 3
+        report = warm.report
+        assert (report.cache_hits, report.cache_misses) == (3, 0)
+        assert (report.cache_corrupt, report.cache_errors) == (0, 0)
 
     def test_clean_and_faulted_entries_are_distinct(self, tmp_path):
-        inner = CountingBackend()
-        backend = CachedBackend(tmp_path / "store", inner)
-        backend.map(_execute_payload, _chaos_payloads(1))
-        clean = [
-            (
-                0,
-                FlowSpec(
-                    scenario=hsr_scenario(CHINA_MOBILE), duration=3.0,
-                    seed=70, flow_id="chaos/0",
-                ),
-                RetryPolicy(),
-            )
-        ]
-        outcomes = backend.map(_execute_payload, clean)
+        clean = FlowSpec(
+            scenario=hsr_scenario(CHINA_MOBILE), duration=3.0, seed=70,
+            flow_id="chaos/0",
+        )
+        with store_scope(tmp_path / "store"):
+            Executor().run(_chaos_specs(1))
+            outcomes = Executor().run([clean]).outcomes
         assert [o.cache_state for o in outcomes] == ["miss"]

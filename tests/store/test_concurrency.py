@@ -14,11 +14,10 @@ from multiprocessing import get_context
 
 import pytest
 
-from repro.exec.executor import Executor, _execute_payload
+from repro.exec.executor import Executor
 from repro.exec.spec import FlowSpec
 from repro.hsr import CHINA_MOBILE, hsr_scenario
-from repro.robustness.campaign import RetryPolicy
-from repro.store import CachedBackend, ResultStore, StoreCircuitBreaker, flow_key
+from repro.store import ResultStore, StoreCircuitBreaker, flow_key
 from repro.store.scope import store_scope
 
 
@@ -30,10 +29,6 @@ def _specs(n):
         )
         for i in range(n)
     ]
-
-
-def _payloads(n):
-    return [(i, spec, RetryPolicy()) for i, spec in enumerate(_specs(n))]
 
 
 def _run_store_campaign(store_root):
@@ -150,22 +145,22 @@ class TestConcurrentCampaigns:
 class TestTruncatedEntryMidCampaign:
     def test_truncated_read_degrades_to_recompute(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        backend = CachedBackend(store)
-        payloads = _payloads(3)
-        backend.map(_execute_payload, payloads)
-        key = flow_key(payloads[1][1])
-        path = store.path_for(key)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])  # half a gzip frame
-        outcomes = backend.map(_execute_payload, payloads)  # must not raise
-        assert [o.cache_state for o in outcomes] == ["hit", "corrupt", "hit"]
-        assert all(o.ok for o in outcomes)
-        assert backend.last_stats["corrupt"] == 1
-        # the rotten bytes were quarantined for post-mortem, and the
-        # recomputed entry reads cleanly from now on
-        assert store.stats().quarantined == 1
-        assert store.verify() == (3, [])
-        warm = backend.map(_execute_payload, payloads)
+        specs = _specs(3)
+        with store_scope(store):
+            Executor().run(specs)
+            path = store.path_for(flow_key(specs[1]))
+            raw = path.read_bytes()
+            path.write_bytes(raw[: len(raw) // 2])  # half a gzip frame
+            result = Executor().run(specs)  # must not raise
+            outcomes = result.outcomes
+            assert [o.cache_state for o in outcomes] == ["hit", "corrupt", "hit"]
+            assert all(o.ok for o in outcomes)
+            assert result.report.cache_corrupt == 1
+            # the rotten bytes were quarantined for post-mortem, and the
+            # recomputed entry reads cleanly from now on
+            assert store.stats().quarantined == 1
+            assert store.verify() == (3, [])
+            warm = Executor().run(specs).outcomes
         assert [o.cache_state for o in warm] == ["hit"] * 3
 
 
@@ -231,8 +226,6 @@ class TestCircuitBreaker:
     def test_campaign_survives_a_dead_store(self, tmp_path, monkeypatch):
         """End to end: every store op fails, the campaign still completes
         with every flow computed fresh and counted as a store error."""
-        import repro.store.backend as backend_module
-
         real_store = ResultStore(tmp_path / "store")
 
         def exploding(self, key):
@@ -242,8 +235,8 @@ class TestCircuitBreaker:
         monkeypatch.setattr(
             ResultStore, "put", lambda self, key, payload: exploding(self, key)
         )
-        backend = CachedBackend(real_store)
-        outcomes = backend.map(_execute_payload, _payloads(3))
-        assert all(o.ok for o in outcomes)
-        assert [o.cache_state for o in outcomes] == ["error"] * 3
-        assert backend.last_stats["errors"] == 3
+        with store_scope(real_store):
+            result = Executor().run(_specs(3))
+        assert all(o.ok for o in result.outcomes)
+        assert [o.cache_state for o in result.outcomes] == ["error"] * 3
+        assert result.report.cache_errors == 3

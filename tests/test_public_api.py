@@ -25,7 +25,6 @@ import repro
 API_SNAPSHOT = {
     "repro": [
         "CCInfo",
-        "CachedBackend",
         "CampaignReport",
         "CampaignTelemetry",
         "ConnectionConfig",
@@ -85,8 +84,6 @@ API_SNAPSHOT = {
         "watchdog_scope",
     ],
     "repro.exec": [
-        "AutoBackend",
-        "ChaosBackend",
         "ChaosPlan",
         "ExecutionResult",
         "Executor",
@@ -196,7 +193,6 @@ API_SNAPSHOT = {
         "timeline",
     ],
     "repro.store": [
-        "CachedBackend",
         "CorruptEntryError",
         "ENGINE_SCHEMA_VERSION",
         "RemoteStore",
