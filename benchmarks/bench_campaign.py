@@ -5,9 +5,9 @@ Runs the same miniature paper campaign through the flow executor — on
 the ``SerialBackend``, on a multi-process ``ProcessPoolBackend``, on
 ``ProcessPoolBackend(auto=True)`` (which probes the batch and picks
 serial or pool itself), twice through a throw-away ``ResultStore`` (a
-cold populating run, then a warm all-hits one), and on the campaign
-fabric — and reports flows/sec for each, the serial→pool speedup, the
-auto placement's recorded decision, and the warm-cache speedup, in
+cold populating run, then a warm all-hits one) — and reports
+flows/sec for each, the serial→pool speedup, the auto placement's
+recorded decision, and the warm-cache speedup, in
 ``BENCH_campaign.json``.  Each run also appends a
 timestamped one-line summary to ``BENCH_history.jsonl``.
 
@@ -95,31 +95,6 @@ def _timed_cached_campaign(flow_scale: float, duration: float, cc: str):
     return warm_dataset, cold_s, warm_s
 
 
-def _timed_fabric_campaign(flow_scale: float, duration: float, cc: str):
-    """The fabric leg: two worker processes over HTTP, an in-process
-    store server behind the driver — the distributed stack end to end,
-    with store round-trips counted on the server (the driver is the
-    store's only client: one GET and one PUT per flow)."""
-    import tempfile
-
-    from repro.fabric import FabricConfig, fabric_scope
-    from repro.store import StoreServer
-    from repro.traces.generator import generate_dataset
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-fabric-") as tmp:
-        with StoreServer(tmp) as server:
-            config = FabricConfig(workers=2, poll_s=0.02)
-            start = time.perf_counter()
-            with fabric_scope(config):
-                dataset = generate_dataset(
-                    seed=2015, duration=duration, flow_scale=flow_scale,
-                    workers="fabric", store=server.url, cc=cc,
-                )
-            elapsed = time.perf_counter() - start
-            round_trips = server.request_count
-    return dataset, elapsed, round_trips
-
-
 def _trace_pickles(dataset):
     # Compare per trace: a batched pickle would differ through memo
     # references shared in-process, not through any value drift.
@@ -136,9 +111,6 @@ def run_benchmark(
     parallel_dataset, parallel_s = _timed_campaign(flow_scale, duration, workers, cc)
     auto_dataset, auto_s, auto_decision = _timed_auto_campaign(flow_scale, duration, cc)
     warm_dataset, cold_s, warm_s = _timed_cached_campaign(flow_scale, duration, cc)
-    fabric_dataset, fabric_s, fabric_round_trips = _timed_fabric_campaign(
-        flow_scale, duration, cc
-    )
 
     serial_pickles = _trace_pickles(serial_dataset)
     serial_report = serial_dataset.report.to_json()
@@ -149,8 +121,6 @@ def run_benchmark(
         and serial_pickles == _trace_pickles(auto_dataset)
         and serial_report == warm_dataset.report.to_json()
         and serial_pickles == _trace_pickles(warm_dataset)
-        and serial_report == fabric_dataset.report.to_json()
-        and serial_pickles == _trace_pickles(fabric_dataset)
     )
     flows = serial_dataset.flow_count
     return {
@@ -179,13 +149,6 @@ def run_benchmark(
             "warm_flows_per_s": round(flows / warm_s, 4) if warm_s else 0.0,
             "warm_hits": warm_dataset.report.cache_hits,
             "warm_speedup": round(serial_s / warm_s, 4) if warm_s else 0.0,
-        },
-        "fabric": {
-            "workers": 2,
-            "elapsed_s": round(fabric_s, 4),
-            "flows_per_s": round(flows / fabric_s, 4) if fabric_s else 0.0,
-            "store_round_trips": fabric_round_trips,
-            "speedup": round(serial_s / fabric_s, 4) if fabric_s else 0.0,
         },
         "speedup": round(serial_s / parallel_s, 4) if parallel_s else 0.0,
         "identical": identical,
@@ -221,8 +184,6 @@ def main(argv=None) -> int:
             "auto_mode": result["auto"]["decision"].get("mode")
             if result["auto"]["decision"]
             else None,
-            "fabric_flows_per_s": result["fabric"]["flows_per_s"],
-            "fabric_store_round_trips": result["fabric"]["store_round_trips"],
         },
         args.output,
     )
@@ -236,9 +197,7 @@ def main(argv=None) -> int:
           f"auto {result['auto']['flows_per_s']:.2f} flows/s "
           f"[{result['auto']['decision']['mode']}], "
           f"warm cache {result['cached']['warm_flows_per_s']:.2f} flows/s "
-          f"({result['cached']['warm_speedup']:.2f}x), "
-          f"fabric {result['fabric']['flows_per_s']:.2f} flows/s "
-          f"({result['fabric']['store_round_trips']} store round-trips)")
+          f"({result['cached']['warm_speedup']:.2f}x)")
     if not result["identical"]:
         print("bench: FAIL — backend runs diverged from serial", file=sys.stderr)
         return 1

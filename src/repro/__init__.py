@@ -36,9 +36,6 @@ Layers, bottom to top (each imports only downwards):
 * :mod:`repro.store` — content-addressed flow-result persistence
   (:class:`ResultStore`, :func:`store_scope`, resumable campaigns),
   shareable over HTTP (:class:`StoreServer`, :class:`RemoteStore`).
-* :mod:`repro.fabric` — the distributed campaign fabric: shard-by-key
-  leases with epochs and work stealing, coordinator + workers over
-  HTTP, the ``workers="fabric"`` backend (:func:`fabric_scope`).
 * :mod:`repro.hsr` — high-speed-rail channel/mobility substrate.
 * :mod:`repro.scenarios` — scenarios as data: schema-validated
   YAML/JSON documents, a compiler to :class:`Scenario`, the bundled
@@ -78,7 +75,6 @@ from repro.exec import (
     simulate_spec,
     supervise_scope,
 )
-from repro.fabric import FabricBackend, FabricConfig, fabric_scope
 from repro.hsr import (
     HookSpec,
     Scenario,
@@ -129,8 +125,6 @@ __all__ = [
     "ConnectionConfig",
     "ExecutionResult",
     "Executor",
-    "FabricBackend",
-    "FabricConfig",
     "FaultPlan",
     "FlowOutcome",
     "FlowResult",
@@ -158,7 +152,6 @@ __all__ = [
     "deviation_rate",
     "driving_scenario",
     "enhanced_throughput",
-    "fabric_scope",
     "fault_scope",
     "flow_key",
     "generate_dataset",

@@ -8,7 +8,7 @@ hits and misses are partitioned in the parent, the misses run through
 the :mod:`~repro.exec.supervise` layer (worker-crash recovery,
 parent-enforced deadlines, graceful signal drain), and fresh results
 are written back.  A :class:`ChaosPlan` on the
-:class:`SupervisorPolicy` injects fabric faults to test it.  See the
+:class:`SupervisorPolicy` injects execution faults to test it.  See the
 README's architecture section for how campaigns, experiments, and
 MPTCP flows all route through here.
 """

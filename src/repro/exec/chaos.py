@@ -1,4 +1,4 @@
-"""Chaos testing for the execution fabric itself.
+"""Chaos testing for the execution machinery itself.
 
 :mod:`repro.robustness.faults` injects faults into the *simulated
 network* — extra loss, handoff storms — and the campaign layer survives
@@ -8,7 +8,7 @@ die mid-spec, flows that hang past their deadline, flows whose worker
 raises — so the supervision layer (:mod:`repro.exec.supervise`) can be
 tested against the exact failure modes it exists to absorb.  A plan
 only says which execution misbehaves and how; the supervisor's pool
-loop (or a fabric worker) carries the action out.
+loop carries the action out.
 
 Everything is seeded and wall-clock-free: a :class:`ChaosPlan` is a
 pure function of ``(seed, flow_ids)``, actions key on the *execution
@@ -23,9 +23,7 @@ A plan rides on the supervisor's policy
 (``SupervisorPolicy(chaos=plan)``): the parent tracks per-flow
 execution counts and hands the scheduled action to the worker-side
 trampoline, so a "crash on execution 0" flow dies exactly once and then
-completes — the recovery path is exercised, not just the failure.  Over
-the fabric the execution index is the shard lease's ``epoch - 1``, and
-the action rides inside the lease to whichever worker draws it.
+completes — the recovery path is exercised, not just the failure.
 
 Only for tests.  A chaos plan in a real campaign kills real workers;
 the injected :class:`~repro.util.errors.ChaosError` is loud on purpose.
@@ -47,7 +45,7 @@ _ACTION_KINDS = ("crash", "hang", "raise")
 
 @dataclass(frozen=True)
 class ChaosPlan:
-    """A seeded schedule of fabric faults, keyed by (flow_id, execution).
+    """A seeded schedule of execution faults, keyed by (flow_id, execution).
 
     ``crash``/``hang``/``raise`` map a flow id to the tuple of
     execution indices that misbehave: ``{"flow-3": (0,)}`` under

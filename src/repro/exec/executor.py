@@ -22,8 +22,6 @@ saying where the misses run:
   from the spec's own seed, so moving a flow to another process cannot
   change its bytes.  With ``auto=True`` a short serial probe decides
   per batch whether the pool is worth its spawn cost.
-* :class:`~repro.fabric.FabricBackend` — the distributed campaign
-  fabric (lease coordinator plus worker processes).
 
 Ambient state (the watchdog installed by ``watchdog_scope``) lives in a
 ContextVar, which does **not** propagate to spawned workers; the
@@ -379,11 +377,7 @@ class Executor:
         """Serial for ``workers <= 1``, a spawn pool otherwise.
 
         The string ``"auto"`` selects ``ProcessPoolBackend(auto=True)``,
-        which probes the batch and picks serial vs pool per call;
-        ``"fabric"`` runs the batch on the distributed campaign fabric
-        (:class:`~repro.fabric.FabricBackend` — a lease coordinator
-        plus worker processes, configured by the ambient
-        :func:`~repro.fabric.fabric_scope`).
+        which probes the batch and picks serial vs pool per call.
         """
         if workers == "auto":
             return cls(
@@ -391,19 +385,9 @@ class Executor:
                 retry_policy=retry_policy,
                 telemetry=telemetry,
             )
-        if workers == "fabric":
-            # Imported lazily: repro.fabric sits above the executor in
-            # the layer diagram (it imports this module).
-            from repro.fabric.backend import FabricBackend
-
-            return cls(
-                backend=FabricBackend(),
-                retry_policy=retry_policy,
-                telemetry=telemetry,
-            )
         if isinstance(workers, str):
             raise ConfigurationError(
-                f"workers must be an integer, 'auto', or 'fabric', got {workers!r}"
+                f"workers must be an integer or 'auto', got {workers!r}"
             )
         if workers <= 1:
             return cls(
@@ -432,7 +416,7 @@ class Executor:
         2. run the misses through
            :class:`~repro.exec.supervise.SupervisedBackend` — crash
            recovery, deadlines, chaos, signal drain — on the placement:
-           serial, pool or fabric.  The ambient
+           serial or pool.  The ambient
            :func:`~repro.exec.supervise.supervise_scope` policy applies
            unless :attr:`backend` is itself a configured
            ``SupervisedBackend``;

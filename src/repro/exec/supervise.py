@@ -86,7 +86,11 @@ class SupervisorPolicy:
     """How hard the supervision layer fights for a campaign.
 
     ``deadline_s`` is the parent-enforced per-flow wall-clock limit
-    (``None`` disables preemption); ``max_worker_restarts`` caps how
+    (``None`` disables preemption).  Its clock starts when the parent
+    submits the flow to the pool, not when the flow starts in the
+    worker, so it also counts spawn-worker start-up and imports; a
+    deadline shorter than that preempts healthy flows (ROADMAP item 6
+    moves the start into the worker).  ``max_worker_restarts`` caps how
     many times the worker pool may be rebuilt after crashes and
     preemptions before the supervisor gives up on the remainder;
     ``grace_s`` is how long a signal drain waits for in-flight flows
@@ -229,8 +233,7 @@ class _DrainGuard:
 def _supervised_call(fn: Callable, payload: object, action: Optional[Tuple]):
     """Worker-side trampoline: run one payload, chaos action first.
 
-    Module-level so the spawn pool can pickle it; fabric workers call
-    it for each leased payload too.  ``action`` is a
+    Module-level so the spawn pool can pickle it.  ``action`` is a
     plain tuple (picklable, no chaos-module import needed in workers):
     ``("crash",)`` kills the worker the way a segfault would,
     ``("hang", seconds)`` wedges it past any deadline, and
@@ -305,7 +308,7 @@ class SupervisedBackend:
     """Crash-recovering, deadline-enforcing, drain-aware batch runner.
 
     Runs a batch on a *placement*: the inner backend only says where
-    (serial inline, a worker pool and its width, or the fabric), while
+    (serial inline, or a worker pool and its width), while
     the supervisor owns the pool itself so it can kill and rebuild it.
     :meth:`map` is the only code that runs a batch, and
     :meth:`_run_pooled` the only code that submits to a pool — first
@@ -342,15 +345,6 @@ class SupervisedBackend:
         #: True when the last ``map`` was cut short by a signal drain
         self.last_interrupted = False
 
-    def _action_for(
-        self, payload: Tuple, execution: int
-    ) -> Optional[Tuple]:
-        """Chaos action for this payload's Nth execution (None = run)."""
-        chaos = self.policy.chaos
-        if chaos is None:
-            return None
-        return chaos.action_for(payload[1].flow_id, execution)
-
     # -- the backend protocol ------------------------------------------
 
     def map(
@@ -361,15 +355,6 @@ class SupervisedBackend:
     ) -> List:
         items = list(items)
         self.last_interrupted = False
-        if getattr(self.inner, "self_supervising", False):
-            # A fabric placement owns its whole fault story — worker
-            # respawn, lease re-grants, per-shard retry — across a
-            # process boundary this layer cannot see.  Wrapping it in
-            # drain guards and pools here would only fight that
-            # machinery, so the batch is delegated, with the chaos
-            # schedule: the fabric applies each payload's action in
-            # whichever worker runs it.
-            return self.inner.map(fn, items, progress, action_for=self._action_for)
         tracked = [
             _Tracked(position=position, payload=payload)
             for position, payload in enumerate(items)
@@ -518,6 +503,7 @@ class SupervisedBackend:
         width again.
         """
         deadline = self.policy.deadline_s
+        chaos = self.policy.chaos
         pending = batch.pending
         pending.extend(remaining)
         pool: Optional[ProcessPoolExecutor] = None
@@ -535,7 +521,11 @@ class SupervisedBackend:
                 cap = 1 if suspects else workers
                 while pending and len(inflight) < cap:
                     tracked = pending.popleft()
-                    action = self._action_for(tracked.payload, tracked.executions)
+                    action = (
+                        None
+                        if chaos is None
+                        else chaos.action_for(tracked.spec.flow_id, tracked.executions)
+                    )
                     tracked.executions += 1
                     tracked.started = time.monotonic()
                     try:

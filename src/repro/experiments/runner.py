@@ -83,14 +83,14 @@ __all__ = ["main"]
 
 
 def _workers_arg(value: str):
-    """Parse ``--workers``: an integer, 'auto', or 'fabric'."""
-    if value in ("auto", "fabric"):
+    """Parse ``--workers``: an integer or 'auto'."""
+    if value == "auto":
         return value
     try:
         return int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"workers must be an integer, 'auto', or 'fabric', got {value!r}"
+            f"workers must be an integer or 'auto', got {value!r}"
         )
 
 
@@ -162,9 +162,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--deadline-s", type=float, default=0.0, metavar="S",
         help="parent-enforced per-flow wall-clock deadline: a flow "
-             "still running after S seconds has its worker killed, the "
-             "preemption recorded, and the flow retried — catches hangs "
-             "the in-process watchdog cannot see (default 0 = off)")
+             "still running S seconds after it was submitted to the "
+             "pool has its worker killed, the preemption recorded, and "
+             "the flow retried — catches hangs the in-process watchdog "
+             "cannot see.  The clock starts at submit, so it includes "
+             "worker start-up (ROADMAP item 6): keep S above the spawn "
+             "time (default 0 = off)")
     parser.add_argument(
         "--max-worker-restarts", type=int, default=8, metavar="N",
         help="how many times the supervision layer may rebuild a "
@@ -172,29 +175,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "quarantining the remainder (default 8)")
     parser.add_argument(
         "--workers", type=_workers_arg, default=1, metavar="N",
-        help="fan campaign/sweep flows out over N processes, 'auto' to "
-             "probe the batch and pick serial or pool, or 'fabric' to "
-             "run on the distributed campaign fabric (see "
-             "--fabric-workers); results are "
-             "byte-identical to a serial run any way (default 1)")
-    parser.add_argument(
-        "--fabric-workers", type=int, default=2, metavar="N",
-        help="with --workers fabric: local worker processes to spawn "
-             "per campaign (0 = coordinator only; external workers "
-             "attach to the URL printed on stderr; default 2)")
-    parser.add_argument(
-        "--fabric-port", type=int, default=0, metavar="P",
-        help="with --workers fabric: coordinator bind port "
-             "(default 0 = ephemeral)")
-    parser.add_argument(
-        "--fabric-host", default="127.0.0.1", metavar="H",
-        help="with --workers fabric: coordinator bind address "
-             "(default 127.0.0.1)")
-    parser.add_argument(
-        "--lease-timeout-s", type=float, default=30.0, metavar="S",
-        help="with --workers fabric: seconds before an unfinished "
-             "shard lease expires back to pending — how fast dead "
-             "workers shed their work (default 30)")
+        help="fan campaign/sweep flows out over N processes, or 'auto' "
+             "to probe the batch and pick serial or pool; results are "
+             "byte-identical to a serial run either way (default 1)")
     parser.add_argument(
         "--cc", metavar="NAME[,NAME...]", default=None,
         help="congestion control selection for CC-aware experiments "
@@ -327,17 +310,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         deadline_s=args.deadline_s if args.deadline_s > 0 else None,
         max_worker_restarts=args.max_worker_restarts,
     )
-    from repro.fabric.backend import FabricConfig, fabric_scope
-
-    fabric_config = None
-    if args.workers == "fabric":
-        fabric_config = FabricConfig(
-            workers=args.fabric_workers,
-            host=args.fabric_host,
-            port=args.fabric_port,
-            lease_timeout_s=args.lease_timeout_s,
-            max_worker_restarts=args.max_worker_restarts,
-        )
     clear_interrupt()  # sticky flag; don't inherit an old invocation's drain
     exit_code = 0
     interrupted_by: Optional[int] = None
@@ -345,7 +317,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         telemetry_config
     ), store_scope(args.store, refresh=args.no_cache), supervise_scope(
         supervisor
-    ), fabric_scope(fabric_config):
+    ):
         if scenario_refs is not None:
             exit_code = _run_scenarios(args, scenario_refs)
             interrupted_by = interrupt_signal()

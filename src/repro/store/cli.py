@@ -15,7 +15,7 @@ not an error — so operators can pre-clean a store before a large
 campaign); ``gc`` drops entries written under a stale payload schema
 (and unreadable ones), reclaiming space that can never hit again.
 Every maintenance subcommand takes ``--json`` for machine-readable
-output, so fabric tooling and CI can parse store state without
+output, so scripts and CI can parse store state without
 scraping text.
 
 ``serve`` exposes the directory over HTTP

@@ -35,10 +35,6 @@ The endpoints::
 
 Keys are 64 lowercase hex characters (sha256); anything else is a 400
 before the store is touched.
-
-The HTTP plumbing itself — the handler base and the kept-alive,
-retrying client transport — is shared with the fabric coordinator
-(:mod:`repro.fabric.coordinator`) and its workers.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ _TRANSPORT_RETRY = RetryPolicy(max_retries=2, backoff_base_s=0.05)
 class _QuietThreadingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that doesn't traceback on vanished clients.
 
-    A SIGKILLed fabric worker leaves its half-open socket behind; the
+    A SIGKILLed client leaves its half-open socket behind; the
     stdlib default prints a full traceback per reset connection, which
     would swamp the stderr of every chaos drill.  Connection-level
     errors are a normal fact of fleet life and are dropped silently;
@@ -101,45 +97,9 @@ class _QuietThreadingHTTPServer(ThreadingHTTPServer):
         )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """The handler base both HTTP endpoints (store, coordinator) share.
-
-    Keep-alive HTTP/1.1 with quiet logging and a Content-Length
-    responder, so a client's kept connection knows where each body
-    ends.  ``disable_nagle_algorithm`` matters: a response goes out as
-    a header write then a body write, and with Nagle on the body waits
-    for the client's delayed ACK of the headers — a 40 ms stall on
-    every request.
-    """
-
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # request logging would swamp campaign stderr
-
-    def _respond(
-        self, status: int, body: bytes, content_type: str = "application/json"
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_json(self, status: int, payload: Dict[str, object]) -> None:
-        self._respond(status, json.dumps(payload, sort_keys=True).encode())
-
-    def _read_body(self) -> bytes:
-        return self.rfile.read(int(self.headers.get("Content-Length", "0")))
-
-
 class _Transport:
-    """One kept-alive HTTP connection with bounded retries.
-
-    The client half of both endpoints: :class:`RemoteStore` talks to a
-    store server through one, a fabric worker to its coordinator.
-    """
+    """One kept-alive HTTP connection with bounded retries: the
+    client half of :class:`RemoteStore`."""
 
     def __init__(
         self,
@@ -214,12 +174,9 @@ class _Transport:
             f"{self.retry_policy.max_attempts} attempts: {last_error}"
         )
 
-    def request_json(
-        self, method: str, path: str, payload: Optional[Dict[str, object]] = None
-    ) -> Dict[str, object]:
-        """A JSON request that must answer 200 with a JSON body."""
-        body = None if payload is None else json.dumps(payload).encode()
-        status, raw = self.request(method, path, body)
+    def request_json(self, method: str, path: str) -> Dict[str, object]:
+        """A request that must answer 200 with a JSON body."""
+        status, raw = self.request(method, path)
         if status != 200:
             raise OSError(f"{method} {self.url}{path} failed with {status}")
         return json.loads(raw)
@@ -228,8 +185,38 @@ class _Transport:
 # -- server ------------------------------------------------------------
 
 
-class _StoreHandler(_Handler):
+class _StoreHandler(BaseHTTPRequestHandler):
+    """The store endpoint's request handler.
+
+    Keep-alive HTTP/1.1 with quiet logging and a Content-Length
+    responder, so a client's kept connection knows where each body
+    ends.  ``disable_nagle_algorithm`` matters: a response goes out as
+    a header write then a body write, and with Nagle on the body waits
+    for the client's delayed ACK of the headers — a 40 ms stall on
+    every request.
+    """
+
     server_version = "repro-store"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass  # request logging would swamp campaign stderr
+
+    def _respond(
+        self, status: int, body: bytes, content_type: str = "application/json"
+    ) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _respond_json(self, status: int, payload: Dict[str, object]) -> None:
+        self._respond(status, json.dumps(payload, sort_keys=True).encode())
+
+    def _read_body(self) -> bytes:
+        return self.rfile.read(int(self.headers.get("Content-Length", "0")))
 
     def _entry_key(self, prefix: str) -> Optional[str]:
         if not self.path.startswith(prefix):

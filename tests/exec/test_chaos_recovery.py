@@ -1,4 +1,4 @@
-"""Recovery mechanics under injected fabric faults.
+"""Recovery mechanics under injected execution faults.
 
 Where ``test_chaos_determinism`` proves the headline gate, this suite
 exercises each supervision path on its own: crash-once-then-recover,

@@ -160,9 +160,12 @@ class TestAutoBackend:
         assert isinstance(backend, ProcessPoolBackend) and backend.auto
 
     def test_for_workers_rejects_other_strings(self):
-        for workers in ("turbo", "lockstep", "warp-speed"):
-            with pytest.raises(ConfigurationError):
+        for workers in ("turbo", "lockstep", "fabric", "warp-speed"):
+            with pytest.raises(ConfigurationError) as caught:
                 Executor.for_workers(workers)
+            assert str(caught.value) == (
+                f"workers must be an integer or 'auto', got {workers!r}"
+            )
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ConfigurationError):

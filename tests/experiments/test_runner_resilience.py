@@ -90,11 +90,10 @@ class TestAllCommandResilience:
 class TestWorkersArg:
     def test_accepted_values(self):
         assert runner_module._workers_arg("auto") == "auto"
-        assert runner_module._workers_arg("fabric") == "fabric"
         assert runner_module._workers_arg("3") == 3
 
     def test_rejects_other_strings(self):
-        for value in ("turbo", "lockstep", "warp-speed"):
+        for value in ("turbo", "lockstep", "fabric", "warp-speed"):
             with pytest.raises(argparse.ArgumentTypeError):
                 runner_module._workers_arg(value)
 
