@@ -5,8 +5,10 @@ Two guarantees, cheap enough to run on every change:
 
 1. ``import repro`` works in a clean interpreter, ``repro.__all__`` is
    present, sorted, and every name in it actually resolves — the
-   consolidated top-level surface is real, not aspirational.
-2. Every script under ``examples/`` imports only things that exist.
+   consolidated top-level surface is real, not aspirational — and with
+   nothing installed the run context is the default ``RunContext()``.
+2. Every script under ``examples/`` imports only things that exist, and
+   so does every ``repro`` import of the scripts under ``scripts/``.
    The examples run their scenario at import time (they have no
    ``__main__`` guard), so executing them here would turn an API check
    into a simulation run; instead each file is *parsed* and its import
@@ -46,12 +48,17 @@ def check_top_level_surface() -> None:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     completed = subprocess.run(
-        [sys.executable, "-c", "import repro; repro.__all__"],
+        [
+            sys.executable,
+            "-c",
+            "import repro; assert repro.current_run_context() == repro.RunContext()",
+        ],
         env=env, capture_output=True, text=True,
     )
     if completed.returncode != 0:
         sys.stderr.write(completed.stderr)
-        fail("`import repro` failed in a clean interpreter")
+        fail("`import repro` or the default run context failed in a clean "
+             "interpreter")
 
     import repro
 
@@ -77,13 +84,17 @@ def _imports_of(path: str):
 
 
 def check_examples() -> None:
-    """Every import in every example must resolve against the live API."""
+    """Every import in every example, and every ``repro`` import in every
+    script, must resolve against the live API."""
     examples = sorted(glob.glob(os.path.join(REPO_ROOT, "examples", "*.py")))
     if not examples:
         fail("no examples found under examples/")
-    for path in examples:
+    scripts = sorted(glob.glob(os.path.join(REPO_ROOT, "scripts", "*.py")))
+    for path in examples + scripts:
         label = os.path.relpath(path, REPO_ROOT)
         for module, names in _imports_of(path):
+            if path in scripts and module.split(".")[0] != "repro":
+                continue
             try:
                 imported = importlib.import_module(module)
             except ImportError as error:

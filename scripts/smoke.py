@@ -259,13 +259,13 @@ def smoke_telemetry() -> None:
     """A warm telemetry rerun reports what an uncached run reports."""
     import tempfile
 
+    from repro.context import run_context
     from repro.exec import Executor
-    from repro.store import store_scope
     from repro.traces.generator import campaign_specs
 
     specs = campaign_specs(seed=2015, duration=8.0, flow_scale=0.05)
     uncached = Executor(telemetry=True).run(specs).telemetry
-    with tempfile.TemporaryDirectory() as store_dir, store_scope(store_dir):
+    with tempfile.TemporaryDirectory() as store_dir, run_context(store=store_dir):
         Executor().run(specs)
         warm = Executor(telemetry=True).run(specs).telemetry
     if warm.get("cache_hit") != len(specs) or uncached.get("cache_hit") != 0:
@@ -298,10 +298,10 @@ import signal
 import sys
 
 import repro.exec.executor as executor_module
+from repro.context import run_context
 from repro.exec import Executor, FlowSpec
 from repro.exec.supervise import interrupt_signal
 from repro.hsr import CHINA_MOBILE, hsr_scenario
-from repro.store.scope import store_scope
 
 store_dir = sys.argv[1]
 flows, duration = int(sys.argv[2]), float(sys.argv[3])
@@ -325,7 +325,7 @@ specs = [
     )
     for i in range(flows)
 ]
-with store_scope(store_dir):
+with run_context(store=store_dir):
     result = Executor().run(specs)
 print(result.report.to_json())
 signum = interrupt_signal()

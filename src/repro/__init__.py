@@ -23,6 +23,9 @@ One import gives the working set of the whole stack::
 Layers, bottom to top (each imports only downwards):
 
 * :mod:`repro.util` — seeded RNG streams, statistics, units, errors.
+* :mod:`repro.context` — the one ambient :class:`RunContext` (store,
+  supervisor policy, watchdog, faults, telemetry, progress) that
+  :func:`run_context` installs around a campaign.
 * :mod:`repro.telemetry` — counters read off finished flows
   (:func:`summarise`, timelines, campaign aggregation, progress).
 * :mod:`repro.simulator` — discrete-event TCP / MPTCP simulator with a
@@ -34,7 +37,7 @@ Layers, bottom to top (each imports only downwards):
 * :mod:`repro.exec` — the unified flow-execution pipeline
   (:class:`FlowSpec` → :class:`Executor`, serial/pool byte-identical).
 * :mod:`repro.store` — content-addressed flow-result persistence
-  (:class:`ResultStore`, :func:`store_scope`, resumable campaigns),
+  (:class:`ResultStore`, resumable campaigns),
   shareable over HTTP (:class:`StoreServer`, :class:`RemoteStore`).
 * :mod:`repro.hsr` — high-speed-rail channel/mobility substrate.
 * :mod:`repro.scenarios` — scenarios as data: schema-validated
@@ -53,6 +56,7 @@ from repro.cc import (
     make_sender,
     register_cc,
 )
+from repro.context import RunContext, current_run_context, run_context
 from repro.core import (
     LinkParams,
     ModelOptions,
@@ -73,7 +77,6 @@ from repro.exec import (
     SupervisorPolicy,
     interrupt_signal,
     simulate_spec,
-    supervise_scope,
 )
 from repro.hsr import (
     HookSpec,
@@ -87,8 +90,6 @@ from repro.robustness import (
     FaultPlan,
     RetryPolicy,
     Watchdog,
-    fault_scope,
-    watchdog_scope,
 )
 from repro.scenarios import (
     ScenarioDocument,
@@ -102,14 +103,8 @@ from repro.store import (
     StoreServer,
     flow_key,
     open_store,
-    store_scope,
 )
-from repro.telemetry import (
-    CampaignTelemetry,
-    TelemetryConfig,
-    summarise,
-    telemetry_scope,
-)
+from repro.telemetry import CampaignTelemetry, summarise
 from repro.traces import (
     SyntheticDataset,
     generate_dataset,
@@ -135,12 +130,12 @@ __all__ = [
     "RemoteStore",
     "ResultStore",
     "RetryPolicy",
+    "RunContext",
     "Scenario",
     "ScenarioDocument",
     "StoreServer",
     "SupervisorPolicy",
     "SyntheticDataset",
-    "TelemetryConfig",
     "ThroughputPrediction",
     "Watchdog",
     "__version__",
@@ -148,11 +143,11 @@ __all__ = [
     "cc_names",
     "compare_models",
     "compile_scenario",
+    "current_run_context",
     "describe_cc",
     "deviation_rate",
     "driving_scenario",
     "enhanced_throughput",
-    "fault_scope",
     "flow_key",
     "generate_dataset",
     "generate_stationary_reference",
@@ -165,13 +160,10 @@ __all__ = [
     "padhye_full_throughput",
     "padhye_paper_form",
     "register_cc",
+    "run_context",
     "run_flow",
     "scenario_names",
     "simulate_spec",
     "stationary_scenario",
-    "store_scope",
     "summarise",
-    "supervise_scope",
-    "telemetry_scope",
-    "watchdog_scope",
 ]

@@ -27,9 +27,7 @@ from repro.exec.supervise import (
     SupervisedBackend,
     SupervisorPolicy,
     clear_interrupt,
-    current_supervisor_policy,
     interrupt_signal,
-    supervise_scope,
 )
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "SupervisedBackend",
     "SupervisorPolicy",
     "clear_interrupt",
-    "current_supervisor_policy",
     "interrupt_signal",
     "simulate_spec",
-    "supervise_scope",
 ]

@@ -23,10 +23,11 @@ saying where the misses run:
   change its bytes.  With ``auto=True`` a short serial probe decides
   per batch whether the pool is worth its spawn cost.
 
-Ambient state (the watchdog installed by ``watchdog_scope``) lives in a
-ContextVar, which does **not** propagate to spawned workers; the
-executor therefore bakes the ambient watchdog into each spec at submit
-time, before anything crosses a process boundary.
+Ambient settings come from the one run context
+(:func:`~repro.context.run_context`), a ContextVar that does **not**
+propagate to spawned workers; the executor therefore bakes the
+context's watchdog into each spec at submit time, before anything
+crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import (
     Union,
 )
 
+from repro.context import RunContext, current_run_context
 from repro.exec.spec import FlowSpec
 from repro.robustness.campaign import (
     CampaignReport,
@@ -50,11 +52,9 @@ from repro.robustness.campaign import (
     QuarantineRecord,
     RetryPolicy,
 )
-from repro.robustness.watchdog import current_watchdog
 from repro.simulator.connection import FlowResult, run_flow
 from repro.telemetry.campaign import CampaignTelemetry
 from repro.telemetry.progress import ProgressReporter
-from repro.telemetry.scope import current_telemetry_config
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -346,8 +346,8 @@ class Executor:
 
     ``telemetry`` controls campaign counter collection: ``True``
     summarises every successful outcome, ``False`` disables it, and the
-    default ``None`` defers to the ambient
-    :func:`~repro.telemetry.telemetry_scope` configuration (how the
+    default ``None`` collects exactly when the run context carries a
+    ``telemetry`` aggregate (:func:`~repro.context.run_context`, how the
     CLI's ``--telemetry`` flag reaches every executor without parameter
     threading).  Collection happens in this process over the returned
     outcomes, so it changes nothing that runs and works the same on a
@@ -410,15 +410,14 @@ class Executor:
         Every batch goes through one fixed pipeline, whatever the
         placement (:attr:`backend`):
 
-        1. with a result store ambient
-           (:func:`~repro.store.scope.store_scope`), partition the
-           batch into store hits and misses, in this process;
+        1. with a result store in the run context
+           (:func:`~repro.context.run_context`), partition the batch
+           into store hits and misses, in this process;
         2. run the misses through
            :class:`~repro.exec.supervise.SupervisedBackend` — crash
            recovery, deadlines, chaos, signal drain — on the placement:
-           serial or pool.  The ambient
-           :func:`~repro.exec.supervise.supervise_scope` policy applies
-           unless :attr:`backend` is itself a configured
+           serial or pool.  The run context's ``supervisor`` policy
+           applies unless :attr:`backend` is itself a configured
            ``SupervisedBackend``;
         3. write the fresh results to the store;
         4. build the report.
@@ -433,48 +432,42 @@ class Executor:
         on completion timing.
 
         When telemetry collection is on (``Executor(telemetry=True)``
-        or an ambient :func:`~repro.telemetry.telemetry_scope`), every
+        or a ``telemetry`` aggregate in the run context), every
         successful outcome is summarised and merged — in spec order,
         from wall-clock-free counters — into
-        :attr:`ExecutionResult.telemetry`; progress
-        reporting, when enabled, writes to stderr only and never
-        changes result bytes.
+        :attr:`ExecutionResult.telemetry` (and into that aggregate);
+        progress reporting, when enabled, writes to stderr only and
+        never changes result bytes.
         """
         # Imported lazily: the supervisor and the store import this module.
-        from repro.exec.supervise import SupervisedBackend, current_supervisor_policy
+        from repro.exec.supervise import SupervisedBackend
         from repro.store import backend as cache
         from repro.store.breaker import StoreCircuitBreaker
-        from repro.store.scope import current_store_config
 
-        ambient = current_telemetry_config()
+        context = current_run_context()
         collect = self.telemetry
         if collect is None:
-            collect = ambient is not None and ambient.collect
-        prepared = [self._finalise(spec) for spec in specs]
+            collect = context.telemetry is not None
+        prepared = [self._finalise(spec, context) for spec in specs]
         payloads = [
             (index, spec, self.retry_policy)
             for index, spec in enumerate(prepared)
         ]
         supervised = self.backend
         if not isinstance(supervised, SupervisedBackend):
-            supervised = SupervisedBackend(
-                supervised, policy=current_supervisor_policy()
-            )
-        store = current_store_config()
+            supervised = SupervisedBackend(supervised, policy=context.supervisor)
         reporter: Optional[ProgressReporter] = None
         progress: Optional[Callable[[int], None]] = None
-        if ambient is not None and ambient.progress:
-            reporter = ProgressReporter(
-                total=len(payloads), stream=ambient.progress_stream
-            )
+        if context.progress:
+            reporter = ProgressReporter(total=len(payloads))
             progress = reporter.update
         try:
-            if store is None:
+            if context.store is None:
                 outcomes = supervised.map(_execute_payload, payloads, progress)
             else:
-                breaker = StoreCircuitBreaker(store.store)
+                breaker = StoreCircuitBreaker(context.store)
                 outcomes, misses = cache.partition(
-                    breaker, payloads, refresh=store.refresh, progress=progress
+                    breaker, payloads, refresh=context.refresh, progress=progress
                 )
                 fresh: List[FlowOutcome] = []
                 if misses:
@@ -514,15 +507,18 @@ class Executor:
                     report.cache_corrupt += 1
                 elif outcome.cache_state == "error":
                     report.cache_errors += 1
-        telemetry = self._gather_telemetry(outcomes, ambient) if collect else None
+        telemetry = (
+            self._gather_telemetry(outcomes, context.telemetry) if collect else None
+        )
         return ExecutionResult(outcomes=outcomes, report=report, telemetry=telemetry)
 
     @staticmethod
     def _gather_telemetry(
-        outcomes: List[FlowOutcome], ambient
+        outcomes: List[FlowOutcome], aggregate: Optional[CampaignTelemetry]
     ) -> Optional[CampaignTelemetry]:
-        """Merge per-flow counters (spec order) into one campaign artefact;
-        None when no outcome has a result."""
+        """Merge per-flow counters (spec order) into one campaign artefact,
+        and that into ``aggregate`` when given; None when no outcome has
+        a result."""
         campaign: Optional[CampaignTelemetry] = None
         for outcome in outcomes:
             if outcome.result is None:
@@ -530,18 +526,16 @@ class Executor:
             if campaign is None:
                 campaign = CampaignTelemetry()
             campaign.merge_outcome(outcome)
-        if campaign is not None and ambient is not None and ambient.aggregate is not None:
-            ambient.aggregate.merge(campaign)
+        if campaign is not None and aggregate is not None:
+            aggregate.merge(campaign)
         return campaign
 
-    def _finalise(self, spec: FlowSpec) -> FlowSpec:
-        """Bake ambient context into the spec before it leaves this process.
+    def _finalise(self, spec: FlowSpec, context: RunContext) -> FlowSpec:
+        """Bake the run context into the spec before it leaves this process.
 
-        ContextVars don't cross the spawn boundary, so the ambient
+        ContextVars don't cross the spawn boundary, so the context's
         watchdog must travel inside the spec itself.
         """
-        if spec.watchdog is None:
-            ambient = current_watchdog()
-            if ambient is not None:
-                spec = spec.with_(watchdog=ambient)
+        if spec.watchdog is None and context.watchdog is not None:
+            spec = spec.with_(watchdog=context.watchdog)
         return spec

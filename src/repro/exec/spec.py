@@ -100,7 +100,7 @@ class FlowSpec:
     #: chaos injected into the built channels (applied after build,
     #: exactly where ``Scenario.channel_hook`` would run)
     fault_plan: Optional[FaultPlan] = None
-    #: per-flow budgets; executors fill this from the ambient watchdog
+    #: per-flow budgets; executors fill this from the run context's watchdog
     watchdog: Optional[Watchdog] = None
     #: when set, the executor captures a FlowTrace with this metadata
     metadata: Optional["FlowMetadata"] = None

@@ -57,10 +57,9 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.chaos import ChaosPlan
 from repro.exec.executor import FlowOutcome, ProcessPoolBackend, SerialBackend
@@ -71,9 +70,7 @@ __all__ = [
     "SupervisedBackend",
     "SupervisorPolicy",
     "clear_interrupt",
-    "current_supervisor_policy",
     "interrupt_signal",
-    "supervise_scope",
 ]
 
 #: exit status used by the ``crash`` chaos action (and visible in the
@@ -120,34 +117,6 @@ class SupervisorPolicy:
             raise ConfigurationError(
                 f"grace_s must be >= 0, got {self.grace_s}"
             )
-
-
-_ambient_policy: ContextVar[Optional[SupervisorPolicy]] = ContextVar(
-    "repro_ambient_supervisor", default=None
-)
-
-
-def current_supervisor_policy() -> Optional[SupervisorPolicy]:
-    """The ambient policy installed by :func:`supervise_scope`, if any."""
-    return _ambient_policy.get()
-
-
-@contextlib.contextmanager
-def supervise_scope(
-    policy: Optional[SupervisorPolicy],
-) -> Iterator[Optional[SupervisorPolicy]]:
-    """Install ``policy`` ambiently (the CLI's ``--deadline-s`` plumbing).
-
-    Mirrors :func:`~repro.robustness.watchdog.watchdog_scope`: every
-    :class:`~repro.exec.executor.Executor` run inside the block
-    supervises its backend under this policy.  ``None`` is a no-op
-    scope (executors then use the default :class:`SupervisorPolicy`).
-    """
-    token = _ambient_policy.set(policy)
-    try:
-        yield policy
-    finally:
-        _ambient_policy.reset(token)
 
 
 #: signal number of the most recent drain, sticky until cleared — how

@@ -18,7 +18,7 @@ problem is not variant-specific — while BBR's rate-based pacing rides
 through random loss and escapes the Reno closed forms entirely; the
 deviation column quantifies that gap.
 
-The sweep runs through the executor under every ambient scope, so
+The sweep runs through the executor under the run context, so
 ``--workers``, ``--chaos``, ``--telemetry``, and ``--store`` all apply;
 with a store, a warm rerun serves every flow from cache (the headline
 counts hits vs simulated flows).

@@ -58,26 +58,20 @@ import sys
 from dataclasses import asdict
 from typing import List, Optional
 
-from repro.exec.supervise import (
-    SupervisorPolicy,
-    clear_interrupt,
-    interrupt_signal,
-    supervise_scope,
-)
+from repro.context import run_context
+from repro.exec.supervise import SupervisorPolicy, clear_interrupt, interrupt_signal
 from repro.experiments.registry import (
     format_result,
     list_experiments,
     run_experiment_safe,
 )
-from repro.robustness.faults import FaultPlan, fault_scope
+from repro.robustness.faults import FaultPlan
 from repro.robustness.watchdog import (
     DEFAULT_EVENT_BUDGET,
     DEFAULT_WALL_CLOCK_S,
     Watchdog,
-    watchdog_scope,
 )
-from repro.store.scope import store_scope
-from repro.telemetry import CampaignTelemetry, TelemetryConfig, telemetry_scope
+from repro.telemetry import CampaignTelemetry
 
 __all__ = ["main"]
 
@@ -298,26 +292,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         ids = list(list_experiments())
 
-    plan = FaultPlan.aggressive(args.chaos) if args.chaos > 0 else None
-    telemetry_config: Optional[TelemetryConfig] = None
-    if args.telemetry or args.progress:
-        telemetry_config = TelemetryConfig(
-            collect=args.telemetry,
-            progress=args.progress,
-            aggregate=CampaignTelemetry() if args.telemetry else None,
-        )
-    supervisor = SupervisorPolicy(
-        deadline_s=args.deadline_s if args.deadline_s > 0 else None,
-        max_worker_restarts=args.max_worker_restarts,
-    )
     clear_interrupt()  # sticky flag; don't inherit an old invocation's drain
     exit_code = 0
     interrupted_by: Optional[int] = None
-    with watchdog_scope(_watchdog_from(args)), fault_scope(plan), telemetry_scope(
-        telemetry_config
-    ), store_scope(args.store, refresh=args.no_cache), supervise_scope(
-        supervisor
-    ):
+    with run_context(
+        store=args.store,
+        refresh=args.no_cache,
+        supervisor=SupervisorPolicy(
+            deadline_s=args.deadline_s if args.deadline_s > 0 else None,
+            max_worker_restarts=args.max_worker_restarts,
+        ),
+        watchdog=_watchdog_from(args),
+        faults=FaultPlan.aggressive(args.chaos) if args.chaos > 0 else None,
+        telemetry=CampaignTelemetry() if args.telemetry else None,
+        progress=args.progress,
+    ) as context:
         if scenario_refs is not None:
             exit_code = _run_scenarios(args, scenario_refs)
             interrupted_by = interrupt_signal()
@@ -348,8 +337,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
                 break
-    if telemetry_config is not None and telemetry_config.aggregate is not None:
-        aggregate = telemetry_config.aggregate
+    aggregate = context.telemetry
+    if aggregate is not None:
         if aggregate.flows:
             print(f"telemetry: {aggregate.summary()}", file=sys.stderr)
             print(aggregate.to_json(), file=sys.stderr)

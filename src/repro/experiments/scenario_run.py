@@ -4,7 +4,7 @@ The figure drivers each hard-code their environment; this module is the
 generic counterpart the ``--scenario`` flag and the ``sweep`` command
 expose — point the runner at a scenario *reference* (a bundled name or
 a document file) and it runs a seeded flow campaign there, under all
-the usual ambient scopes (watchdog, chaos, telemetry, store,
+the usual run context (watchdog, chaos, telemetry, store,
 supervision).
 """
 
@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
+from repro.context import current_run_context
 from repro.exec import Executor, FlowSpec
 from repro.experiments.registry import ExperimentResult
 from repro.hsr.scenario import Scenario
-from repro.robustness.faults import current_fault_plan, with_faults
+from repro.robustness.faults import with_faults
 from repro.scenarios import resolve_scenario_ref
 from repro.scenarios.compile import compile_document
 from repro.scenarios.document import ScenarioDocument
@@ -27,7 +28,7 @@ __all__ = ["run_scenario_campaign", "run_scenario_sweep", "scenario_specs"]
 
 def _effective_scenario(document: ScenarioDocument) -> Scenario:
     scenario = compile_document(document)
-    plan = current_fault_plan()
+    plan = current_run_context().faults
     if plan is not None and not plan.is_noop():
         scenario = with_faults(scenario, plan)
     return scenario

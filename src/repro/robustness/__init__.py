@@ -26,8 +26,6 @@ from repro.robustness.campaign import (
 )
 from repro.robustness.faults import (
     FaultPlan,
-    current_fault_plan,
-    fault_scope,
     with_faults,
 )
 from repro.robustness.validate import ValidationResult, check_trace, validate_trace
@@ -35,8 +33,6 @@ from repro.robustness.watchdog import (
     DEFAULT_EVENT_BUDGET,
     DEFAULT_WALL_CLOCK_S,
     Watchdog,
-    current_watchdog,
-    watchdog_scope,
 )
 
 __all__ = [
@@ -51,10 +47,6 @@ __all__ = [
     "ValidationResult",
     "Watchdog",
     "check_trace",
-    "current_fault_plan",
-    "current_watchdog",
-    "fault_scope",
     "validate_trace",
-    "watchdog_scope",
     "with_faults",
 ]

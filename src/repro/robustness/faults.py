@@ -9,21 +9,21 @@ the data direction (deep fade), total ACK-channel blackouts, and RTT
 spikes via extra delay jitter — all drawn from a seed-derived RNG
 stream, so a chaos run is as reproducible as a clean one.
 
-Plans attach at two levels:
+Plans attach at three levels:
 
 * :meth:`FaultPlan.apply` wraps one :class:`~repro.hsr.scenario.BuiltChannels`;
 * :func:`with_faults` (or ``Scenario.with_channel_hook``) wraps a whole
   scenario, so every flow a campaign builds from it is faulted;
-* :func:`fault_scope` installs a plan ambiently for CLI runs
-  (``python -m repro.experiments all --chaos 1.0``).
+* the ``faults`` field of :func:`~repro.context.run_context` installs
+  a plan ambiently for CLI runs
+  (``python -m repro.experiments all --chaos 1.0``): campaign
+  generators attach it to every scenario they build.
 """
 
 from __future__ import annotations
 
-import contextlib
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.simulator.channel import CompositeLoss, HandoffLoss, LossModel
 from repro.util.errors import ConfigurationError
@@ -34,8 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "FaultPlan",
-    "current_fault_plan",
-    "fault_scope",
     "with_faults",
 ]
 
@@ -236,24 +234,3 @@ def with_faults(scenario: "Scenario", plan: FaultPlan) -> "Scenario":
     a chaos campaign caches and resumes exactly like a clean one.
     """
     return scenario.with_channel_hook(plan.to_hook_spec())
-
-
-_ambient_plan: ContextVar[Optional[FaultPlan]] = ContextVar(
-    "repro_ambient_fault_plan", default=None
-)
-
-
-def current_fault_plan() -> Optional[FaultPlan]:
-    """The ambient plan installed by :func:`fault_scope`, if any."""
-    return _ambient_plan.get()
-
-
-@contextlib.contextmanager
-def fault_scope(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
-    """Install ``plan`` ambiently: campaign generators inside the block
-    pick it up when not given an explicit ``fault_plan``."""
-    token = _ambient_plan.set(plan)
-    try:
-        yield plan
-    finally:
-        _ambient_plan.reset(token)

@@ -4,9 +4,10 @@ A :class:`Watchdog` bundles the three guard rails the engine
 understands — an event budget, a simulated-time budget, and a
 wall-clock budget — into one value that can be passed explicitly to
 :func:`~repro.simulator.connection.run_flow` or installed ambiently for
-a whole CLI invocation with :func:`watchdog_scope` (how the
-``--timeout-s`` / ``--max-events`` experiment flags are plumbed without
-threading parameters through every experiment driver).
+a whole CLI invocation as the ``watchdog`` field of
+:func:`~repro.context.run_context` (how the ``--timeout-s`` /
+``--max-events`` experiment flags are plumbed without threading
+parameters through every experiment driver).
 
 All three guards raise :class:`~repro.util.errors.BudgetExceededError`,
 which the resilient campaign layer treats like any other per-flow
@@ -15,11 +16,9 @@ failure: record, retry with a fresh seed, quarantine if persistent.
 
 from __future__ import annotations
 
-import contextlib
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.util.errors import ConfigurationError
 
@@ -27,8 +26,6 @@ __all__ = [
     "DEFAULT_EVENT_BUDGET",
     "DEFAULT_WALL_CLOCK_S",
     "Watchdog",
-    "current_watchdog",
-    "watchdog_scope",
 ]
 
 #: Default per-flow event budget used by the CLI.  A full-scale 60 s
@@ -89,28 +86,3 @@ class Watchdog:
         if self.wall_clock_s is not None:
             kwargs["wall_deadline"] = time.monotonic() + self.wall_clock_s
         return kwargs
-
-
-_ambient_watchdog: ContextVar[Optional[Watchdog]] = ContextVar(
-    "repro_ambient_watchdog", default=None
-)
-
-
-def current_watchdog() -> Optional[Watchdog]:
-    """The ambient watchdog installed by :func:`watchdog_scope`, if any."""
-    return _ambient_watchdog.get()
-
-
-@contextlib.contextmanager
-def watchdog_scope(watchdog: Optional[Watchdog]) -> Iterator[Optional[Watchdog]]:
-    """Install ``watchdog`` as the ambient guard for the enclosed block.
-
-    Every ``run_flow`` call inside the block that is not given an
-    explicit watchdog picks this one up.  Passing ``None`` explicitly
-    shadows (disables) any outer scope.
-    """
-    token = _ambient_watchdog.set(watchdog)
-    try:
-        yield watchdog
-    finally:
-        _ambient_watchdog.reset(token)

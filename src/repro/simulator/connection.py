@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 from repro.cc import make_sender
+from repro.context import current_run_context
 from repro.simulator.bottleneck import BottleneckLink
 from repro.simulator.channel import Link, LossModel, NoLoss
 from repro.simulator.engine import Simulator
@@ -331,9 +332,9 @@ def run_flow(
     the run: its event/sim-time/wall-clock budgets are plumbed into the
     engine and raise :class:`~repro.util.errors.BudgetExceededError`
     instead of letting a degenerate channel state hang the campaign.
-    When omitted, the ambient watchdog installed by
-    :func:`repro.robustness.watchdog.watchdog_scope` (e.g. via the
-    experiment CLI's ``--timeout-s``/``--max-events`` flags) applies.
+    When omitted, the run context's watchdog
+    (:func:`repro.context.run_context`, e.g. via the experiment CLI's
+    ``--timeout-s``/``--max-events`` flags) applies.
 
     The result carries the complete log plus the engine's event
     accounting and the sender's RTO arm count, so every per-flow
@@ -355,12 +356,7 @@ def run_flow(
     )
 
     if watchdog is None:
-        # Imported lazily: robustness sits above the simulator in the
-        # layering (its fault hooks wrap scenario channels), so a
-        # module-level import here would be circular.
-        from repro.robustness.watchdog import current_watchdog
-
-        watchdog = current_watchdog()
+        watchdog = current_run_context().watchdog
 
     run_kwargs = watchdog.run_kwargs() if watchdog is not None else {}
     sim.run(until=config.duration, **run_kwargs)

@@ -7,12 +7,12 @@ registry and engine schema versions) addresses its entire result:
 
 * :class:`ResultStore` — sharded ``<root>/ab/abcdef….json.gz`` entries
   with integrity digests, atomic writes, and corruption quarantine;
-* :func:`store_scope` — the ambient plumbing behind the experiments
-  CLI's ``--store DIR`` / ``--no-cache`` flags: with a store ambient,
-  every :meth:`Executor.run <repro.exec.Executor.run>` serves hits from
-  it, runs only the misses and merges in spec order
-  (:mod:`repro.store.backend`) — cached campaigns stay byte-identical
-  to uncached ones.
+* the ``store`` field of :func:`~repro.context.run_context` — the
+  plumbing behind the experiments CLI's ``--store DIR`` / ``--no-cache``
+  flags: with a store installed, every :meth:`Executor.run
+  <repro.exec.Executor.run>` serves hits from it, runs only the misses
+  and merges in spec order (:mod:`repro.store.backend`) — cached
+  campaigns stay byte-identical to uncached ones.
 
 Resumability falls out: a campaign killed midway has already persisted
 every completed flow, so rerunning the same command executes only the
@@ -40,12 +40,7 @@ from repro.store.keys import (
     canonical_json,
     flow_key,
 )
-from repro.store.scope import (
-    StoreConfig,
-    current_store,
-    current_store_config,
-    store_scope,
-)
+from repro.context import run_context
 
 __all__ = [
     "CorruptEntryError",
@@ -54,13 +49,10 @@ __all__ = [
     "ResultStore",
     "SCHEMA_VERSION",
     "StoreCircuitBreaker",
-    "StoreConfig",
     "StoreServer",
     "StoreStats",
     "UnhashableSpecError",
     "canonical_json",
-    "current_store",
-    "current_store_config",
     "decode_entry",
     "decode_outcome",
     "encode_entry",
@@ -69,3 +61,8 @@ __all__ = [
     "open_store",
     "store_scope",
 ]
+
+
+def store_scope(store):
+    """``run_context(store=store)``, the spelling ``campaignbench`` uses."""
+    return run_context(store=store)

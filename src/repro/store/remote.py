@@ -14,8 +14,9 @@ Two halves, one wire format:
 
 * :class:`RemoteStore` — a client satisfying the ``ResultStore``
   read/write surface (``get`` / ``put`` / ``load`` / ``quarantine`` /
-  ``stats``), so :func:`~repro.store.scope.store_scope` can point at
-  ``http://host:port`` wherever a store is accepted.  One
+  ``stats``), so the run context's ``store``
+  (:func:`~repro.context.run_context`) can point at ``http://host:port``
+  wherever a store is accepted.  One
   ``HTTPConnection`` is kept per client and reused across requests;
   transient transport failures get bounded retries with seeded-jitter
   exponential backoff (:class:`~repro.robustness.campaign.RetryPolicy`'s

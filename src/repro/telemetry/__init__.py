@@ -18,8 +18,9 @@ while it runs:
   was obtained (cache hit or miss, worker crashes), merged in spec
   order into one canonical-JSON artefact, byte-identical between
   serial and process-pool backends and between fresh and cached runs.
-* :class:`ProgressReporter` + :func:`telemetry_scope` — the opt-in
-  ``--telemetry`` / ``--progress`` plumbing of the experiments CLI.
+* :class:`ProgressReporter` — the opt-in ``--progress`` lines; with
+  ``--telemetry`` the experiments CLI installs a :class:`CampaignTelemetry`
+  aggregate as the ``telemetry`` field of :func:`~repro.context.run_context`.
 
 Summarise one flow with ``summarise(run_flow(...))``, or a campaign
 via ``Executor(telemetry=True)`` /
@@ -33,11 +34,6 @@ from repro.telemetry.counters import (
     summarise,
 )
 from repro.telemetry.progress import ProgressReporter
-from repro.telemetry.scope import (
-    TelemetryConfig,
-    current_telemetry_config,
-    telemetry_scope,
-)
 from repro.telemetry.timeline import TimelineEvent, timeline
 
 __all__ = [
@@ -45,10 +41,7 @@ __all__ = [
     "CampaignTelemetry",
     "FlowTelemetrySummary",
     "ProgressReporter",
-    "TelemetryConfig",
     "TimelineEvent",
-    "current_telemetry_config",
     "summarise",
-    "telemetry_scope",
     "timeline",
 ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
+from repro.context import current_run_context, run_context
 from repro.exec.executor import Executor
 from repro.exec.spec import FlowSpec
 from repro.hsr.provider import (
@@ -41,7 +42,7 @@ from repro.hsr.provider import (
 )
 from repro.hsr.scenario import Scenario, hsr_scenario, stationary_scenario
 from repro.robustness.campaign import CampaignReport, RetryPolicy
-from repro.robustness.faults import FaultPlan, current_fault_plan, with_faults
+from repro.robustness.faults import FaultPlan, with_faults
 from repro.robustness.watchdog import Watchdog
 from repro.telemetry.campaign import CampaignTelemetry
 from repro.traces.events import FlowMetadata, FlowTrace
@@ -191,7 +192,7 @@ def campaign_specs(
         raise ConfigurationError(f"flow_scale must be positive, got {flow_scale}")
     campaign = tuple(entries) if entries is not None else PAPER_CAMPAIGN
     if fault_plan is None:
-        fault_plan = current_fault_plan()
+        fault_plan = current_run_context().faults
     rng = RngStream(seed, "dataset")
     specs: List[FlowSpec] = []
     for entry in campaign:
@@ -243,14 +244,14 @@ def generate_dataset(
     retried under ``retry_policy`` with deterministically reseeded
     attempts, then quarantined, and the returned dataset's ``report``
     names every failure with the exact seed that reproduces it.
-    ``fault_plan`` (or the ambient plan from
-    :func:`repro.robustness.faults.fault_scope`) injects chaos into
-    every flow's channels for stress testing.
+    ``fault_plan`` (or the run context's ``faults``, see
+    :func:`repro.context.run_context`) injects chaos into every flow's
+    channels for stress testing.
 
     ``telemetry=True`` collects per-flow counters and merges them onto
     the dataset's ``telemetry`` field (byte-identical across worker
-    counts); the default ``None`` defers to the ambient
-    :func:`~repro.telemetry.telemetry_scope` configuration.
+    counts); the default ``None`` collects when the run context carries
+    a ``telemetry`` aggregate.
 
     ``store`` (a :class:`~repro.store.ResultStore` or a directory path)
     makes the campaign cache-aware and resumable: completed flows are
@@ -292,13 +293,12 @@ def _run_with_store(executor: Executor, specs: List[FlowSpec], store):
     """Run a batch, cache-wrapping the executor when ``store`` is given.
 
     An explicit ``store`` argument takes precedence over (and behaves
-    exactly like) an ambient :func:`~repro.store.store_scope`.
+    exactly like) the run context's ``store``; ``store=None`` keeps the
+    context's store rather than clearing it.
     """
     if store is None:
         return executor.run(specs)
-    from repro.store.scope import store_scope
-
-    with store_scope(store):
+    with run_context(store=store):
         return executor.run(specs)
 
 

@@ -11,13 +11,13 @@ a degraded run debuggable: chaos is data, not noise.
 
 import pytest
 
+from repro.context import run_context
 from repro.exec import Executor, ProcessPoolBackend
 from repro.exec.chaos import ChaosPlan
 from repro.exec.spec import FlowSpec
 from repro.exec.supervise import SupervisedBackend, SupervisorPolicy
 from repro.hsr import CHINA_MOBILE, hsr_scenario
 from repro.store import ResultStore, flow_key
-from repro.store.scope import store_scope
 from repro.util.errors import ConfigurationError
 from tests.store.entries import rot_entry
 
@@ -89,7 +89,7 @@ class TestDeterminismGate:
             s for s in batch
             if s.flow_id not in plan.crash and s.flow_id not in plan.hang
         )
-        with store_scope(store_root):
+        with run_context(store=store_root):
             Executor().run([victim])
             rot_entry(ResultStore(store_root), flow_key(victim))
             backend = SupervisedBackend(

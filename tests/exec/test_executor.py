@@ -3,6 +3,7 @@
 import pytest
 
 import repro.exec.executor as executor_module
+from repro.context import run_context
 from repro.exec import (
     Executor,
     FlowSpec,
@@ -12,7 +13,7 @@ from repro.exec import (
     simulate_spec,
 )
 from repro.robustness.campaign import CampaignReport, RetryPolicy
-from repro.robustness.watchdog import Watchdog, watchdog_scope
+from repro.robustness.watchdog import Watchdog
 from repro.simulator.connection import ConnectionConfig
 from repro.util.errors import ConfigurationError, SimulationError
 
@@ -138,13 +139,13 @@ class TestRetryAndQuarantine:
 class TestAmbientWatchdog:
     def test_baked_into_specs_at_submit(self):
         ambient = Watchdog(max_events=10_000_000, wall_clock_s=600.0)
-        with watchdog_scope(ambient):
+        with run_context(watchdog=ambient):
             execution = Executor().run([spec(seed=2)])
         assert execution.outcomes[0].spec.watchdog == ambient
 
     def test_explicit_watchdog_wins(self):
         mine = Watchdog(max_events=5_000_000)
-        with watchdog_scope(Watchdog(max_events=10_000_000)):
+        with run_context(watchdog=Watchdog(max_events=10_000_000)):
             execution = Executor().run([spec(seed=2).with_(watchdog=mine)])
         assert execution.outcomes[0].spec.watchdog == mine
 

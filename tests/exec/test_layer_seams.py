@@ -14,9 +14,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from repro.context import run_context
 from repro.exec import Executor, FlowSpec
 from repro.simulator.connection import ConnectionConfig
-from repro.store.scope import store_scope
 
 LAYERS = Path(__file__).resolve().parents[2] / "campaignbench" / "layers.py"
 
@@ -45,7 +45,7 @@ def _specs():
 def _traced_run(layers, store):
     with layers.Tracer() as tracer:
         layers.install_campaign_layers(tracer)
-        with store_scope(store):
+        with run_context(store=store):
             Executor.for_workers(1).run(_specs())
     return tracer
 

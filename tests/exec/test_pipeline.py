@@ -11,9 +11,9 @@ partition in the parent and never reaches the supervisor.
 import pytest
 
 import repro.exec.supervise as supervise
-from repro.exec import Executor, FlowSpec, SupervisorPolicy, supervise_scope
+from repro.context import run_context
+from repro.exec import Executor, FlowSpec, SupervisorPolicy
 from repro.simulator.connection import ConnectionConfig
-from repro.store.scope import store_scope
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ def _specs():
 def test_store_backed_batch_is_supervised_and_warm_spawns_nothing(
     tmp_path, pools, workers
 ):
-    with supervise_scope(SupervisorPolicy(deadline_s=30)), store_scope(tmp_path):
+    with run_context(supervisor=SupervisorPolicy(deadline_s=30), store=tmp_path):
         cold = Executor.for_workers(workers).run(_specs())
         assert pools == [1]
         warm = Executor.for_workers(workers).run(_specs())

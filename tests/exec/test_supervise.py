@@ -6,6 +6,7 @@ import signal
 
 import pytest
 
+from repro.context import current_run_context, run_context
 from repro.exec import (
     ChaosPlan,
     Executor,
@@ -15,9 +16,7 @@ from repro.exec import (
     SupervisedBackend,
     SupervisorPolicy,
     clear_interrupt,
-    current_supervisor_policy,
     interrupt_signal,
-    supervise_scope,
 )
 from repro.exec.executor import _execute_payload
 from repro.exec.supervise import _DrainGuard
@@ -70,11 +69,11 @@ class TestSupervisorPolicy:
             SupervisorPolicy(**kwargs)
 
     def test_scope_is_ambient_and_restored(self):
-        assert current_supervisor_policy() is None
+        assert current_run_context().supervisor is None
         policy = SupervisorPolicy(deadline_s=5.0)
-        with supervise_scope(policy):
-            assert current_supervisor_policy() is policy
-        assert current_supervisor_policy() is None
+        with run_context(supervisor=policy):
+            assert current_run_context().supervisor is policy
+        assert current_run_context().supervisor is None
 
 
 class TestRetryTaxonomy:
@@ -152,7 +151,7 @@ class TestSupervisedBackendInline:
         # The ambient policy's chaos schedule reaches the batch: the
         # injected raise fires and is retried.
         policy = SupervisorPolicy(chaos=ChaosPlan(raise_={"flow": (0,)}))
-        with supervise_scope(policy):
+        with run_context(supervisor=policy):
             report = Executor().run([spec(seed=1)]).report
         assert [f.error_type for f in report.failures] == ["ChaosError"]
         assert report.succeeded == 1
@@ -164,7 +163,7 @@ class TestSupervisedBackendInline:
             SerialBackend(),
             policy=SupervisorPolicy(chaos=ChaosPlan(raise_={"flow": (0,)})),
         )
-        with supervise_scope(SupervisorPolicy()):
+        with run_context(supervisor=SupervisorPolicy()):
             report = Executor(backend=backend).run([spec(seed=1)]).report
         assert [f.error_type for f in report.failures] == ["ChaosError"]
 

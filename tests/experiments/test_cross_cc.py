@@ -5,7 +5,8 @@ import pytest
 from repro.cc import cc_names
 from repro.experiments.cross_cc import resolve_cc_selection, run
 from repro.experiments.registry import run_experiment
-from repro.store import ResultStore, store_scope
+from repro.context import run_context
+from repro.store import ResultStore
 from repro.util.errors import ConfigurationError
 
 
@@ -44,11 +45,11 @@ class TestExperiment:
 
     def test_warm_store_rerun_identical_with_zero_simulated(self, tmp_path, capsys):
         store = ResultStore(tmp_path / "store")
-        with store_scope(store):
+        with run_context(store=store):
             cold = run(scale=0.05, seed=78, cc="cubic")
         cold_err = capsys.readouterr().err
         assert "flows simulated=4" in cold_err
-        with store_scope(store):
+        with run_context(store=store):
             warm = run(scale=0.05, seed=78, cc="cubic")
         warm_err = capsys.readouterr().err
         assert "store hits=4 flows simulated=0" in warm_err

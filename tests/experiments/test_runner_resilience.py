@@ -5,13 +5,13 @@ import argparse
 import pytest
 
 import repro.experiments.runner as runner_module
+from repro.context import current_run_context
 from repro.experiments.registry import (
     ExperimentFailure,
     ExperimentResult,
     run_experiment_safe,
 )
 from repro.experiments.runner import main
-from repro.robustness.watchdog import current_watchdog
 
 
 class TestRunExperimentSafe:
@@ -110,7 +110,7 @@ class TestWatchdogFlags:
         seen = {}
 
         def spying_safe(experiment_id, scale=1.0, seed=2015, workers=1, cc=None):
-            seen["watchdog"] = current_watchdog()
+            seen["watchdog"] = current_run_context().watchdog
             return (
                 ExperimentResult(experiment_id=experiment_id, title=experiment_id),
                 None,
@@ -124,7 +124,7 @@ class TestWatchdogFlags:
         seen = {}
 
         def spying_safe(experiment_id, scale=1.0, seed=2015, workers=1, cc=None):
-            seen["watchdog"] = current_watchdog()
+            seen["watchdog"] = current_run_context().watchdog
             return (
                 ExperimentResult(experiment_id=experiment_id, title=experiment_id),
                 None,
@@ -138,12 +138,10 @@ class TestWatchdogFlags:
         assert watchdog.wall_clock_s == 120.0
 
     def test_chaos_flag_installs_fault_plan(self, monkeypatch):
-        from repro.robustness.faults import current_fault_plan
-
         seen = {}
 
         def spying_safe(experiment_id, scale=1.0, seed=2015, workers=1, cc=None):
-            seen["plan"] = current_fault_plan()
+            seen["plan"] = current_run_context().faults
             return (
                 ExperimentResult(experiment_id=experiment_id, title=experiment_id),
                 None,

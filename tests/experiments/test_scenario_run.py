@@ -4,13 +4,14 @@ import json
 
 import pytest
 
+from repro.context import run_context
 from repro.experiments.runner import main
 from repro.experiments.scenario_run import (
     run_scenario_campaign,
     run_scenario_sweep,
     scenario_specs,
 )
-from repro.robustness.faults import FaultPlan, fault_scope
+from repro.robustness.faults import FaultPlan
 from repro.scenarios import resolve_scenario_ref
 
 FLOWS = 2
@@ -30,7 +31,7 @@ class TestScenarioSpecs:
     def test_ambient_fault_plan_applies(self):
         document = resolve_scenario_ref("hsr-china-mobile")
         plan = FaultPlan.aggressive()
-        with fault_scope(plan):
+        with run_context(faults=plan):
             (spec,) = scenario_specs(document, flows=1, duration=DURATION, seed=7)
         assert spec.scenario.channel_hook is not None
         clean = scenario_specs(document, flows=1, duration=DURATION, seed=7)[0]

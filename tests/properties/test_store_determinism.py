@@ -16,7 +16,8 @@ import sys
 import repro.exec.executor as executor_module
 from repro.exec import Executor, FlowSpec
 from repro.hsr import CHINA_MOBILE, CHINA_TELECOM, hsr_scenario
-from repro.store import ResultStore, flow_key, store_scope
+from repro.context import run_context
+from repro.store import ResultStore, flow_key
 from repro.traces.events import FlowMetadata
 
 
@@ -51,13 +52,13 @@ class TestCachedEqualsFresh:
         specs = _specs()
         fresh = Executor.for_workers(1).run(specs)
         store = ResultStore(tmp_path / "store")
-        with store_scope(store):
+        with run_context(store=store):
             cold = Executor.for_workers(1).run(specs)
         assert cold.report.cache_misses == len(specs)
         assert _trace_pickles(cold) == _trace_pickles(fresh)
         assert cold.report.to_json() == fresh.report.to_json()
         for workers in (1, 2, "auto"):
-            with store_scope(store):
+            with run_context(store=store):
                 warm = Executor.for_workers(workers).run(specs)
             assert warm.report.cache_hits == len(specs), workers
             assert _trace_pickles(warm) == _trace_pickles(fresh), workers
@@ -69,7 +70,7 @@ class TestCachedEqualsFresh:
         store = ResultStore(tmp_path / "store")
         # A campaign killed after k flows: only those entries exist.
         k = 2
-        with store_scope(store):
+        with run_context(store=store):
             Executor.for_workers(1).run(specs[:k])
         assert store.stats().entries == k
         # The rerun must simulate exactly the n-k missing flows.
@@ -80,7 +81,7 @@ class TestCachedEqualsFresh:
             "simulate_spec",
             lambda spec: calls.append(spec.flow_id) or original(spec),
         )
-        with store_scope(store):
+        with run_context(store=store):
             resumed = Executor.for_workers(1).run(specs)
         assert sorted(calls) == sorted(s.flow_id for s in specs[k:])
         assert resumed.report.cache_hits == k
@@ -89,7 +90,7 @@ class TestCachedEqualsFresh:
         assert resumed.report.to_json() == fresh.report.to_json()
         # ...and a second full run touches the simulator not at all.
         calls.clear()
-        with store_scope(store):
+        with run_context(store=store):
             warm = Executor.for_workers(1).run(specs)
         assert calls == []
         assert warm.report.cache_hits == len(specs)
@@ -111,7 +112,7 @@ class TestCachedEqualsFresh:
         keys = [flow_key(spec) for spec in specs]
         assert len(set(keys)) == len(keys)
         assert keys == [flow_key(spec) for spec in specs]
-        with store_scope(store):
+        with run_context(store=store):
             Executor.for_workers(1).run(specs)
             warm = Executor.for_workers(1).run(specs)
         assert warm.report.cache_hits == len(specs)

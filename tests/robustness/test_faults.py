@@ -2,13 +2,9 @@
 
 import pytest
 
+from repro.context import current_run_context, run_context
 from repro.hsr.scenario import hsr_scenario, stationary_scenario
-from repro.robustness.faults import (
-    FaultPlan,
-    current_fault_plan,
-    fault_scope,
-    with_faults,
-)
+from repro.robustness.faults import FaultPlan, with_faults
 from repro.simulator.connection import run_flow
 from repro.util.errors import ConfigurationError
 
@@ -126,8 +122,8 @@ class TestScenarioHook:
 
 class TestScope:
     def test_fault_scope_installs_and_restores(self):
-        assert current_fault_plan() is None
+        assert current_run_context().faults is None
         plan = FaultPlan.aggressive()
-        with fault_scope(plan):
-            assert current_fault_plan() is plan
-        assert current_fault_plan() is None
+        with run_context(faults=plan):
+            assert current_run_context().faults is plan
+        assert current_run_context().faults is None

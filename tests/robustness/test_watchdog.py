@@ -2,13 +2,10 @@
 
 import pytest
 
+from repro.context import current_run_context, run_context
 from repro.experiments.registry import run_experiment
 from repro.hsr.scenario import hsr_scenario
-from repro.robustness.watchdog import (
-    Watchdog,
-    current_watchdog,
-    watchdog_scope,
-)
+from repro.robustness.watchdog import Watchdog
 from repro.simulator.connection import run_flow
 from repro.simulator.engine import Simulator
 from repro.util.errors import BudgetExceededError, ConfigurationError
@@ -111,18 +108,15 @@ class TestWatchdogConfig:
 
 class TestScope:
     def test_scope_installs_and_restores(self):
-        assert current_watchdog() is None
+        assert current_run_context().watchdog is None
         watchdog = Watchdog(max_events=100)
-        with watchdog_scope(watchdog):
-            assert current_watchdog() is watchdog
-            with watchdog_scope(None):  # inner scope shadows
-                assert current_watchdog() is None
-            assert current_watchdog() is watchdog
-        assert current_watchdog() is None
+        with run_context(watchdog=watchdog):
+            assert current_run_context().watchdog is watchdog
+        assert current_run_context().watchdog is None
 
     def test_run_flow_picks_up_ambient_watchdog(self):
         built = hsr_scenario().build(duration=30.0, seed=11)
-        with watchdog_scope(Watchdog(max_events=50)):
+        with run_context(watchdog=Watchdog(max_events=50)):
             with pytest.raises(BudgetExceededError):
                 run_flow(built.config, built.data_loss, built.ack_loss, seed=11)
 
@@ -143,7 +137,7 @@ class TestDefaultBudgetHeadroom:
         # The satellite guarantee: real experiment workloads sit orders
         # of magnitude below the default budgets, so the watchdog only
         # ever fires on genuine runaways.
-        with watchdog_scope(Watchdog.default()):
+        with run_context(watchdog=Watchdog.default()):
             result = run_experiment("fig10", scale=0.25, seed=3)
         assert result.experiment_id == "fig10"
 

@@ -3,13 +3,13 @@ fresh, stay ordered."""
 
 import pickle
 
+from repro.context import run_context
 from repro.exec.executor import Executor
 from repro.exec.spec import FlowSpec
 from repro.hsr import CHINA_MOBILE, hsr_scenario
 from repro.robustness.campaign import RetryPolicy
 from repro.simulator.connection import ConnectionConfig
 from repro.store import ResultStore, flow_key
-from repro.store.scope import store_scope
 from repro.telemetry import CampaignTelemetry
 from repro.traces.events import FlowMetadata
 
@@ -34,7 +34,7 @@ def _specs(n, metadata=False):
 
 
 def _run(store, specs, *, refresh=False, executor=None):
-    with store_scope(store, refresh=refresh):
+    with run_context(store=store, refresh=refresh):
         return (executor or Executor()).run(specs)
 
 

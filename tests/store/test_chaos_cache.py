@@ -9,12 +9,12 @@ everything.  ``with_faults`` now attaches the plan declaratively as a
 the warm cache exactly like clean ones.
 """
 
+from repro.context import run_context
 from repro.exec.executor import Executor
 from repro.exec.spec import FlowSpec
 from repro.hsr import CHINA_MOBILE, hsr_scenario
 from repro.robustness.faults import FaultPlan, with_faults
 from repro.store import ResultStore, flow_key
-from repro.store.scope import store_scope
 
 
 def _chaos_specs(n=3):
@@ -44,7 +44,7 @@ class TestChaosCaching:
     def test_chaos_rerun_hits_warm_cache(self, tmp_path, simulated):
         store = ResultStore(tmp_path / "store")
         specs = _chaos_specs(3)
-        with store_scope(store):
+        with run_context(store=store):
             cold = Executor().run(specs)
             assert [o.cache_state for o in cold.outcomes] == ["miss"] * 3
             assert store.stats().entries == 3  # every faulted flow hashed
@@ -60,7 +60,7 @@ class TestChaosCaching:
             scenario=hsr_scenario(CHINA_MOBILE), duration=3.0, seed=70,
             flow_id="chaos/0",
         )
-        with store_scope(tmp_path / "store"):
+        with run_context(store=tmp_path / "store"):
             Executor().run(_chaos_specs(1))
             outcomes = Executor().run([clean]).outcomes
         assert [o.cache_state for o in outcomes] == ["miss"]

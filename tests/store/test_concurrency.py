@@ -14,11 +14,11 @@ from multiprocessing import get_context
 
 import pytest
 
+from repro.context import run_context
 from repro.exec.executor import Executor
 from repro.exec.spec import FlowSpec
 from repro.hsr import CHINA_MOBILE, hsr_scenario
 from repro.store import ResultStore, StoreCircuitBreaker, flow_key
-from repro.store.scope import store_scope
 
 
 def _specs(n):
@@ -33,7 +33,7 @@ def _specs(n):
 
 def _run_store_campaign(store_root):
     """One full store-backed campaign; module-level so spawn can pickle it."""
-    with store_scope(store_root):
+    with run_context(store=store_root):
         result = Executor().run(_specs(3))
     return result.report.to_json()
 
@@ -61,7 +61,7 @@ class TestConcurrentCampaigns:
         store = ResultStore(root)
         assert store.verify() == (3, [])
         # a third, warm run serves everything from the store
-        with store_scope(root):
+        with run_context(store=root):
             warm = Executor().run(_specs(3))
         assert warm.report.cache_hits == 3
         assert warm.report.to_json() == reports[0]
@@ -146,7 +146,7 @@ class TestTruncatedEntryMidCampaign:
     def test_truncated_read_degrades_to_recompute(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         specs = _specs(3)
-        with store_scope(store):
+        with run_context(store=store):
             Executor().run(specs)
             path = store.path_for(flow_key(specs[1]))
             raw = path.read_bytes()
@@ -235,7 +235,7 @@ class TestCircuitBreaker:
         monkeypatch.setattr(
             ResultStore, "put", lambda self, key, payload: exploding(self, key)
         )
-        with store_scope(real_store):
+        with run_context(store=real_store):
             result = Executor().run(_specs(3))
         assert all(o.ok for o in result.outcomes)
         assert [o.cache_state for o in result.outcomes] == ["error"] * 3

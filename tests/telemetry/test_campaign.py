@@ -1,26 +1,22 @@
-"""Campaign telemetry: executor aggregation, backends, ambient scope.
+"""Campaign telemetry: executor aggregation, backends, the run context.
 
 The determinism contract: campaign telemetry is assembled from
 wall-clock-free counters, merged in spec order, so its canonical JSON
 is byte-identical between serial and process-pool runs.
 """
 
+import contextlib
 import io
 
 import pytest
 
+from repro.context import current_run_context, run_context
 from repro.exec import Executor, FlowSpec
 from repro.exec.executor import ProcessPoolBackend, SerialBackend
 from repro.simulator.channel import BernoulliLoss
 from repro.simulator.connection import ConnectionConfig
-from repro.store import decode_outcome, encode_outcome, store_scope
-from repro.telemetry import (
-    CampaignTelemetry,
-    TelemetryConfig,
-    current_telemetry_config,
-    summarise,
-    telemetry_scope,
-)
+from repro.store import decode_outcome, encode_outcome
+from repro.telemetry import CampaignTelemetry, summarise
 from repro.util.rng import RngStream
 
 
@@ -64,7 +60,7 @@ class TestExecutorAggregation:
         assert serial.telemetry.to_json() == pooled.telemetry.to_json()
 
     def test_explicit_false_overrides_ambient(self):
-        with telemetry_scope(TelemetryConfig(collect=True)):
+        with run_context(telemetry=CampaignTelemetry()):
             execution = Executor(telemetry=False).run([_spec(0)])
         assert execution.telemetry is None
 
@@ -76,7 +72,7 @@ class TestStoreRoundTrip:
         # uncached run reports; only the cache counters tell them apart.
         specs = [_spec(seed) for seed in range(3)]
         uncached = Executor(telemetry=True).run(specs).telemetry.to_dict()
-        with store_scope(tmp_path / "store"):
+        with run_context(store=tmp_path / "store"):
             Executor().run(specs)
             warm = Executor(telemetry=True).run(specs)
         assert warm.report.cache_hits == 3
@@ -101,26 +97,20 @@ class TestStoreRoundTrip:
 
 class TestAmbientScope:
     def test_scope_installs_and_restores(self):
-        assert current_telemetry_config() is None
-        config = TelemetryConfig()
-        with telemetry_scope(config):
-            assert current_telemetry_config() is config
-        assert current_telemetry_config() is None
-
-    def test_none_shadows_outer_scope(self):
-        with telemetry_scope(TelemetryConfig()):
-            with telemetry_scope(None):
-                assert current_telemetry_config() is None
+        assert current_run_context().telemetry is None
+        aggregate = CampaignTelemetry()
+        with run_context(telemetry=aggregate):
+            assert current_run_context().telemetry is aggregate
+        assert current_run_context().telemetry is None
 
     def test_executor_inherits_ambient_collection(self):
-        with telemetry_scope(TelemetryConfig(collect=True)):
+        with run_context(telemetry=CampaignTelemetry()):
             execution = Executor().run([_spec(0)])
         assert execution.telemetry is not None
 
     def test_aggregate_accumulates_across_runs(self):
         aggregate = CampaignTelemetry()
-        config = TelemetryConfig(collect=True, aggregate=aggregate)
-        with telemetry_scope(config):
+        with run_context(telemetry=aggregate):
             Executor().run([_spec(0)])
             Executor().run([_spec(1), _spec(2)])
         assert aggregate.flows == 3
@@ -130,10 +120,7 @@ class TestAmbientScope:
 class TestProgressThroughExecutor:
     def test_progress_lines_written_to_configured_stream(self):
         stream = io.StringIO()
-        config = TelemetryConfig(
-            collect=False, progress=True, progress_stream=stream
-        )
-        with telemetry_scope(config):
+        with run_context(progress=True), contextlib.redirect_stderr(stream):
             execution = Executor().run([_spec(0), _spec(1)])
         text = stream.getvalue()
         assert "flows 2/2" in text
@@ -146,9 +133,7 @@ class TestProgressThroughExecutor:
         specs = [_spec(seed) for seed in range(2)]
         plain = Executor().run(specs)
         stream = io.StringIO()
-        with telemetry_scope(
-            TelemetryConfig(collect=False, progress=True, progress_stream=stream)
-        ):
+        with run_context(progress=True), contextlib.redirect_stderr(stream):
             progressed = Executor().run(specs)
         for left, right in zip(plain.outcomes, progressed.outcomes):
             assert pickle.dumps(left.result.log) == pickle.dumps(right.result.log)

@@ -5,9 +5,9 @@ Guards the advertised API two ways:
 * **Resolution** — every ``__all__`` name on every subpackage resolves
   to a real attribute (no stale exports).
 * **Snapshot** — the exported-name sets of the consolidated surfaces
-  (``repro``, ``repro.exec``, ``repro.simulator``, ``repro.robustness``,
-  ``repro.telemetry``, ``repro.store``, ``repro.scenarios``) are pinned
-  verbatim.  Adding or removing a public name is an API change and must
+  (``repro``, ``repro.context``, ``repro.exec``, ``repro.simulator``,
+  ``repro.robustness``, ``repro.telemetry``, ``repro.store``,
+  ``repro.scenarios``) are pinned verbatim.  Adding or removing a public name is an API change and must
   update the snapshot here — the diff *is* the review artefact.
 """
 
@@ -36,12 +36,12 @@ API_SNAPSHOT = {
         "RemoteStore",
         "ResultStore",
         "RetryPolicy",
+        "RunContext",
         "Scenario",
         "ScenarioDocument",
         "StoreServer",
         "SupervisorPolicy",
         "SyntheticDataset",
-        "TelemetryConfig",
         "ThroughputPrediction",
         "Watchdog",
         "__version__",
@@ -49,11 +49,11 @@ API_SNAPSHOT = {
         "cc_names",
         "compare_models",
         "compile_scenario",
+        "current_run_context",
         "describe_cc",
         "deviation_rate",
         "driving_scenario",
         "enhanced_throughput",
-        "fault_scope",
         "flow_key",
         "generate_dataset",
         "generate_stationary_reference",
@@ -66,15 +66,17 @@ API_SNAPSHOT = {
         "padhye_full_throughput",
         "padhye_paper_form",
         "register_cc",
+        "run_context",
         "run_flow",
         "scenario_names",
         "simulate_spec",
         "stationary_scenario",
-        "store_scope",
         "summarise",
-        "supervise_scope",
-        "telemetry_scope",
-        "watchdog_scope",
+    ],
+    "repro.context": [
+        "RunContext",
+        "current_run_context",
+        "run_context",
     ],
     "repro.exec": [
         "ChaosPlan",
@@ -88,10 +90,8 @@ API_SNAPSHOT = {
         "SupervisedBackend",
         "SupervisorPolicy",
         "clear_interrupt",
-        "current_supervisor_policy",
         "interrupt_signal",
         "simulate_spec",
-        "supervise_scope",
     ],
     "repro.cc": [
         "BbrParams",
@@ -166,11 +166,7 @@ API_SNAPSHOT = {
         "ValidationResult",
         "Watchdog",
         "check_trace",
-        "current_fault_plan",
-        "current_watchdog",
-        "fault_scope",
         "validate_trace",
-        "watchdog_scope",
         "with_faults",
     ],
     "repro.telemetry": [
@@ -178,11 +174,8 @@ API_SNAPSHOT = {
         "CampaignTelemetry",
         "FlowTelemetrySummary",
         "ProgressReporter",
-        "TelemetryConfig",
         "TimelineEvent",
-        "current_telemetry_config",
         "summarise",
-        "telemetry_scope",
         "timeline",
     ],
     "repro.store": [
@@ -192,13 +185,10 @@ API_SNAPSHOT = {
         "ResultStore",
         "SCHEMA_VERSION",
         "StoreCircuitBreaker",
-        "StoreConfig",
         "StoreServer",
         "StoreStats",
         "UnhashableSpecError",
         "canonical_json",
-        "current_store",
-        "current_store_config",
         "decode_entry",
         "decode_outcome",
         "encode_entry",
@@ -290,6 +280,7 @@ class TestApiSnapshot:
     "module_name",
     [
         "repro.cc",
+        "repro.context",
         "repro.core",
         "repro.exec",
         "repro.simulator",
