@@ -63,7 +63,7 @@ from repro.simulator.metrics import (
 )
 from repro.simulator.mptcp import MptcpResult, run_backup, run_duplex
 from repro.simulator.newreno import NewRenoSender
-from repro.simulator.packet import AckSegment, PacketPool, Segment
+from repro.simulator.packet import AckSegment, Segment
 from repro.simulator.receiver import Receiver
 from repro.simulator.relentless import RelentlessSender
 from repro.simulator.reno import RenoSender
@@ -95,7 +95,6 @@ __all__ = [
     "MptcpResult",
     "NewRenoSender",
     "NoLoss",
-    "PacketPool",
     "Receiver",
     "RecoveryPhaseRecord",
     "RelentlessSender",

@@ -18,12 +18,13 @@ bandwidth-delay product.  The probing state machine:
   delay can be re-measured.
 
 Sends are *paced*: instead of dumping a window-sized burst per ACK,
-the sender emits fixed quanta through the link's batched
-:meth:`~repro.simulator.channel.Link.send_burst` path, spaced by the
-engine's event wheel at the modelled rate.  Loss handling (fast
-recovery bookkeeping, RTO plumbing) is inherited; a loss event does
-not collapse the model — BBR's bet, tested here against the paper's
-channel, is that HSR loss is noise, not congestion signal.
+the sender emits fixed quanta through the base sender's ``_send_range``
+(one :meth:`~repro.simulator.channel.Link.send` per packet, not a
+batched path), spaced by the engine's event wheel at the modelled
+rate.  Loss handling (fast recovery bookkeeping, RTO plumbing) is
+inherited; a loss event does not collapse the model — BBR's bet,
+tested here against the paper's channel, is that HSR loss is noise,
+not congestion signal.
 """
 
 from __future__ import annotations
@@ -247,10 +248,10 @@ class BbrSender(BaseSender):
         """Window-gated like the base sender, but rate-paced.
 
         Until the model has a bandwidth estimate, sends fall back to
-        the base burst path (STARTUP's first rounds are ACK-clocked
+        the base window loop (STARTUP's first rounds are ACK-clocked
         anyway).  With an estimate, each firing emits one quantum
-        through the link's batched path and the next quantum is an
-        engine event ``quantum/rate`` later.
+        through ``_send_range``, one link ``send`` per packet, and the
+        next quantum is an engine event ``quantum/rate`` later.
         """
         if self._phase == _TIMEOUT_RECOVERY:
             return

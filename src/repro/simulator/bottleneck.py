@@ -45,8 +45,6 @@ class BottleneckLink:
         "overflows",
         "_queued",
         "_service_free_at",
-        "packet_pool",
-        "release",
     )
 
     def __init__(
@@ -58,8 +56,6 @@ class BottleneckLink:
         loss_model: Optional[LossModel] = None,
         deliver: Optional[Callable] = None,
         on_drop: Optional[Callable] = None,
-        packet_pool=None,
-        release: Optional[Callable] = None,
     ) -> None:
         if delay <= 0.0:
             raise ConfigurationError(f"delay must be positive, got {delay}")
@@ -80,9 +76,6 @@ class BottleneckLink:
         self.loss_model = loss_model or NoLoss()
         self.deliver = deliver
         self.on_drop = on_drop
-        # Same pool discovery/release contract as Link (see there).
-        self.packet_pool = packet_pool
-        self.release = release
 
         self.sent = 0
         self.dropped = 0  # random-loss drops
@@ -128,42 +121,10 @@ class BottleneckLink:
         self._simulator.schedule_call(departure + self.delay - now, self.deliver, packet)
 
     def send_burst(self, packets) -> None:
-        """Enqueue a whole round, batching the loss draws.
-
-        Event-for-event identical to per-packet :meth:`send`: the
-        (departure, delivery) event *pair* of each packet must keep its
-        interleaved push order — on a rate grid, packet ``i+k``'s
-        departure can tie packet ``i``'s delivery time exactly, and the
-        engine breaks ties by sequence number, which decides the
-        ``_queued`` count an overflow check observes.  Only the loss
-        draws are batched.
-        """
-        count = len(packets)
-        if count == 0:
-            return
-        if count == 1:
-            self.send(packets[0])
-            return
-        now = self._simulator.now
-        self.sent += count
-        lost_flags = self.loss_model.is_lost_block([now] * count)
-        schedule_call = self._simulator.schedule_call
-        service_time = self.service_time
-        for packet, lost in zip(packets, lost_flags):
-            if lost:
-                self.dropped += 1
-                self._drop(packet, now)
-                continue
-            if self._queued >= self.buffer_packets:
-                self.overflows += 1
-                self._drop(packet, now)
-                continue
-            self._queued += 1
-            start = max(now, self._service_free_at)
-            departure = start + service_time
-            self._service_free_at = departure
-            schedule_call(departure - now, self._depart, None)
-            schedule_call(departure + self.delay - now, self.deliver, packet)
+        """Enqueue packets one :meth:`send` at a time (a holdover name
+        for the benchmark's layer tracer; see ROADMAP item 4)."""
+        for packet in packets:
+            self.send(packet)
 
     def _depart(self, _payload, _time) -> None:
         self._queued -= 1
@@ -171,5 +132,3 @@ class BottleneckLink:
     def _drop(self, packet, now: float) -> None:
         if self.on_drop is not None:
             self.on_drop(packet, now)
-        if self.release is not None:
-            self.release(packet)

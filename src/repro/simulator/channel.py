@@ -22,12 +22,13 @@ once per wire transmission.  Provided models:
 
 **Batched-RNG invariant.**  The stochastic models consume their stream
 through pre-drawn blocks of raw uniforms (:meth:`RngStream.random_block`)
-instead of one scalar call per transmission.  The *sequence of raw
-uniforms consumed* — and therefore every loss decision — is identical
-to the scalar implementation, because (a) ``random.Random.random()``
-yields the same values whether drawn eagerly or lazily, (b) a draw is
-consumed exactly when the scalar code would consume one (probabilities
-``<= 0`` and ``>= 1`` short-circuit without a draw, matching
+instead of one scalar call per transmission; every call still decides
+exactly one packet.  The *sequence of raw uniforms consumed* — and
+therefore every loss decision — is identical to the scalar
+implementation, because (a) ``random.Random.random()`` yields the same
+values whether drawn eagerly or lazily, (b) a draw is consumed exactly
+when the scalar code would consume one (probabilities ``<= 0`` and
+``>= 1`` short-circuit without a draw, matching
 :meth:`RngStream.bernoulli`), and (c) exponential sojourns are computed
 from a raw uniform with the same expression CPython's ``expovariate``
 uses, bit for bit.  The only observable difference is that the
@@ -69,31 +70,12 @@ _UNIFORM_BLOCK = 256
 
 
 class LossModel:
-    """Base class: decides, per wire transmission, whether it is lost.
-
-    :meth:`is_lost_block` evaluates a whole burst (typically one cwnd
-    of packets submitted in a single round) in one call.  The default
-    implementation loops the scalar :meth:`is_lost`, so third-party
-    models that implement only the scalar method keep working —
-    including under the links' batched transmit path — while the
-    bundled models override it with draw-sequence-identical batched
-    versions.
-    """
+    """Base class: decides, per wire transmission, whether it is lost."""
 
     __slots__ = ()
 
     def is_lost(self, now: float) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        """Per-transmission outcomes for a burst at the given times.
-
-        Element-for-element identical to calling :meth:`is_lost` once
-        per element, in order — the batched-RNG invariant extended to
-        whole rounds.
-        """
-        is_lost = self.is_lost
-        return [is_lost(now) for now in times]
 
 
 class NoLoss(LossModel):
@@ -103,9 +85,6 @@ class NoLoss(LossModel):
 
     def is_lost(self, now: float) -> bool:
         return False
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        return [False] * len(times)
 
 
 class _BufferedLoss(LossModel):
@@ -120,7 +99,8 @@ class _BufferedLoss(LossModel):
     (Bernoulli loss, the round-correlated trigger) set ``_fixed_rate``;
     every refill then precomputes the whole block's Bernoulli outcomes
     in one pass (vectorised through numpy when available), so the
-    per-packet cost collapses to a list index.  The raw-uniform cursor
+    per-packet cost collapses to a list index, read inline by each
+    model's ``is_lost``.  The raw-uniform cursor
     and the outcome cursor are the same cursor — mixed consumption
     (e.g. Gilbert–Elliott sojourn draws between packet draws) walks a
     single underlying uniform sequence, exactly as the scalar code
@@ -176,56 +156,6 @@ class _BufferedLoss(LossModel):
         self._cursor = cursor + 1
         return block[cursor] < probability
 
-    def _bernoulli_fixed(self) -> bool:
-        """One precomputed outcome at ``_fixed_rate``; consumes one draw."""
-        cursor = self._cursor
-        outcomes = self._outcomes
-        if cursor >= len(outcomes):
-            self._refill()
-            outcomes = self._outcomes
-            cursor = 0
-        self._cursor = cursor + 1
-        return outcomes[cursor]
-
-    def _bernoulli_fixed_block(self, n: int) -> List[bool]:
-        """``n`` precomputed outcomes at ``_fixed_rate``, sliced off the
-        block (refilling as needed); consumes exactly ``n`` draws."""
-        out: List[bool] = []
-        cursor = self._cursor
-        outcomes = self._outcomes
-        while n > 0:
-            available = len(outcomes) - cursor
-            if available <= 0:
-                self._refill()
-                outcomes = self._outcomes
-                cursor = 0
-                available = len(outcomes)
-            take = n if n <= available else available
-            out.extend(outcomes[cursor : cursor + take])
-            cursor += take
-            n -= take
-        self._cursor = cursor
-        return out
-
-    def _bernoulli_many(self, probability: float, n: int) -> List[bool]:
-        """``n`` Bernoulli draws at an arbitrary probability in (0, 1),
-        consuming exactly ``n`` uniforms from the block."""
-        out: List[bool] = []
-        append = out.append
-        cursor = self._cursor
-        block = self._block
-        length = len(block)
-        for _ in range(n):
-            if cursor >= length:
-                self._refill()
-                block = self._block
-                length = len(block)
-                cursor = 0
-            append(block[cursor] < probability)
-            cursor += 1
-        self._cursor = cursor
-        return out
-
 
 class BernoulliLoss(_BufferedLoss):
     """Independent loss with a fixed rate."""
@@ -249,11 +179,6 @@ class BernoulliLoss(_BufferedLoss):
             cursor = 0
         self._cursor = cursor + 1
         return outcomes[cursor]
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        if self.rate <= 0.0:
-            return [False] * len(times)
-        return self._bernoulli_fixed_block(len(times))
 
 
 class RoundCorrelatedLoss(_BufferedLoss):
@@ -290,32 +215,24 @@ class RoundCorrelatedLoss(_BufferedLoss):
         return self._burst_until
 
     def is_lost(self, now: float) -> bool:
+        # Inside a burst no draw is consumed, so a triggered loss
+        # silences the trigger stream for the rest of the round.
         if now < self._burst_until:
             return True
-        if self.trigger_rate > 0.0 and self._bernoulli_fixed():
+        if self.trigger_rate <= 0.0:
+            return False
+        # One precomputed outcome per packet (see _BufferedLoss).
+        cursor = self._cursor
+        outcomes = self._outcomes
+        if cursor >= len(outcomes):
+            self._refill()
+            outcomes = self._outcomes
+            cursor = 0
+        self._cursor = cursor + 1
+        if outcomes[cursor]:
             self._burst_until = now + self.round_duration
             return True
         return False
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        out: List[bool] = []
-        append = out.append
-        burst_until = self._burst_until
-        trigger = self.trigger_rate
-        duration = self.round_duration
-        for now in times:
-            # Inside a burst no draw is consumed — identical to the
-            # scalar short-circuit, so a triggered loss silences the
-            # trigger stream for the rest of the round.
-            if now < burst_until:
-                append(True)
-            elif trigger > 0.0 and self._bernoulli_fixed():
-                burst_until = now + duration
-                append(True)
-            else:
-                append(False)
-        self._burst_until = burst_until
-        return out
 
 
 class GilbertElliottLoss(_BufferedLoss):
@@ -383,22 +300,6 @@ class GilbertElliottLoss(_BufferedLoss):
         rate = self.loss_bad if self._in_bad_state else self.loss_good
         return self._bernoulli(rate)
 
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        # A burst is typically a run of equal times, so after the first
-        # element the state-advance check is a single comparison; the
-        # per-packet Bernoulli keeps the scalar short-circuits (the
-        # default loss_good=0 / loss_bad=1 states consume no draws).
-        out: List[bool] = []
-        append = out.append
-        bernoulli = self._bernoulli
-        for now in times:
-            if now >= self._state_expires:
-                self._advance_to(now)
-            append(
-                bernoulli(self.loss_bad if self._in_bad_state else self.loss_good)
-            )
-        return out
-
 
 class HandoffLoss(_BufferedLoss):
     """Deterministic outage windows plus a base loss rate.
@@ -447,25 +348,29 @@ class HandoffLoss(_BufferedLoss):
         return start <= now < end
 
     def is_lost(self, now: float) -> bool:
-        rate = self.loss_during if self.in_outage(now) else self.base_rate
-        return self._bernoulli(rate)
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        n = len(times)
-        if n == 0:
-            return []
-        # The transmit path submits whole rounds at one instant, so the
-        # common case is a single outage lookup for the burst; a burst
-        # spanning several instants falls back to the scalar walk.
-        if times[0] == times[-1]:
-            rate = self.loss_during if self.in_outage(times[0]) else self.base_rate
-            if rate <= 0.0:
-                return [False] * n
-            if rate >= 1.0:
-                return [True] * n
-            return self._bernoulli_many(rate, n)
-        is_lost = self.is_lost
-        return [is_lost(now) for now in times]
+        # in_outage and _bernoulli, inlined: this runs for every packet.
+        outages = self.outages
+        cursor = self._cursor_outage
+        count = len(outages)
+        while cursor < count and outages[cursor][1] <= now:
+            cursor += 1
+        self._cursor_outage = cursor
+        if cursor < count and outages[cursor][0] <= now:
+            rate = self.loss_during
+        else:
+            rate = self.base_rate
+        if rate <= 0.0:
+            return False
+        if rate >= 1.0:
+            return True
+        cursor = self._cursor
+        block = self._block
+        if cursor >= len(block):
+            self._refill()
+            block = self._block
+            cursor = 0
+        self._cursor = cursor + 1
+        return block[cursor] < rate
 
 
 class TraceDrivenLoss(LossModel):
@@ -490,13 +395,6 @@ class TraceDrivenLoss(LossModel):
         self._count += 1
         return lost
 
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        count = self._count
-        lost_indices = self.lost_indices
-        n = len(times)
-        self._count = count + n
-        return [(count + i) in lost_indices for i in range(n)]
-
 
 class CompositeLoss(LossModel):
     """Lost if any component process loses the packet."""
@@ -517,20 +415,6 @@ class CompositeLoss(LossModel):
             if component.is_lost(now):
                 lost = True
         return lost
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        # Component order matches the scalar path; within a component
-        # the whole burst is drawn at once, which only reorders draws
-        # *across* components — invisible, because every stochastic
-        # model owns a dedicated stream (the batched-RNG invariant).
-        components = self.components
-        result = components[0].is_lost_block(times)
-        for component in components[1:]:
-            block = component.is_lost_block(times)
-            for i, flag in enumerate(block):
-                if flag:
-                    result[i] = True
-        return result
 
 
 class Link:
@@ -559,8 +443,6 @@ class Link:
         "sent",
         "dropped",
         "_last_arrival",
-        "packet_pool",
-        "release",
     )
 
     def __init__(
@@ -571,8 +453,6 @@ class Link:
         jitter: Optional[Callable[[], float]] = None,
         deliver: Optional[Callable] = None,
         on_drop: Optional[Callable] = None,
-        packet_pool=None,
-        release: Optional[Callable] = None,
     ) -> None:
         if delay <= 0.0:
             raise ConfigurationError(f"link delay must be positive, got {delay}")
@@ -589,14 +469,6 @@ class Link:
         self.sent = 0
         self.dropped = 0
         self._last_arrival = 0.0
-        #: the flow's :class:`~repro.simulator.packet.PacketPool`, when
-        #: pooling is on; senders discover it here so the registry's
-        #: sender signature stays pool-agnostic
-        self.packet_pool = packet_pool
-        #: recycles a *dropped* packet back to the pool (delivered
-        #: packets are released by the consumer callback instead, so
-        #: the delivery fast path gains no extra frame)
-        self.release = release
 
     @property
     def loss_fraction(self) -> float:
@@ -612,15 +484,13 @@ class Link:
             self.dropped += 1
             if self.on_drop is not None:
                 self.on_drop(packet, now)
-            if self.release is not None:
-                self.release(packet)
             return
+        arrival = now + self.delay
         jitter = self.jitter
-        if jitter is None:
-            arrival = now + self.delay
-        else:
+        if jitter is not None:
             extra = jitter()
-            arrival = now + self.delay + extra if extra > 0.0 else now + self.delay
+            if extra > 0.0:
+                arrival += extra
         # FIFO channel: jitter models (correlated) queueing delay, so a
         # packet can never overtake one sent earlier — i.i.d. reordering
         # would inject spurious fast retransmits no real cellular link
@@ -632,55 +502,7 @@ class Link:
         simulator.schedule_call(arrival - now, self.deliver, packet)
 
     def send_burst(self, packets: Sequence) -> None:
-        """Transmit a whole round of packets in one call.
-
-        Equivalent, draw for draw and event for event, to calling
-        :meth:`send` once per packet: the loss model consumes its block
-        with the scalar draw sequence (the batched-RNG invariant),
-        jitter is drawn only for survivors in survivor order, and the
-        delivery events receive the same consecutive engine sequence
-        numbers the scalar loop would assign (nothing else schedules
-        between the per-packet sends of a burst).
-        """
-        count = len(packets)
-        if count == 0:
-            return
-        if count == 1:
-            self.send(packets[0])
-            return
-        simulator = self._simulator
-        now = simulator.now
-        self.sent += count
-        lost_flags = self.loss_model.is_lost_block([now] * count)
-        jitter = self.jitter
-        base_arrival = now + self.delay
-        on_drop = self.on_drop
-        release = self.release
-        last = self._last_arrival
-        survivors = []
-        arrivals = []
-        drops = 0
-        for packet, lost in zip(packets, lost_flags):
-            if lost:
-                drops += 1
-                if on_drop is not None:
-                    on_drop(packet, now)
-                if release is not None:
-                    release(packet)
-                continue
-            if jitter is None:
-                arrival = base_arrival
-            else:
-                extra = jitter()
-                arrival = base_arrival + extra if extra > 0.0 else base_arrival
-            # FIFO clamp, identical to the scalar path.
-            if arrival < last:
-                arrival = last
-            else:
-                last = arrival
-            survivors.append(packet)
-            arrivals.append(arrival)
-        self._last_arrival = last
-        self.dropped += drops
-        if survivors:
-            simulator.schedule_calls_at(arrivals, self.deliver, survivors)
+        """Transmit packets one :meth:`send` at a time (a holdover name
+        for the benchmark's layer tracer; see ROADMAP item 4)."""
+        for packet in packets:
+            self.send(packet)

@@ -18,7 +18,6 @@ from repro.simulator.bottleneck import BottleneckLink
 from repro.simulator.channel import Link, LossModel, NoLoss
 from repro.simulator.engine import Simulator
 from repro.simulator.metrics import FlowLog
-from repro.simulator.packet import PacketPool
 from repro.simulator.receiver import Receiver
 from repro.simulator.rto import RtoEstimator
 from repro.util.errors import ConfigurationError
@@ -26,6 +25,9 @@ from repro.util.rng import RngStream
 from repro.util.units import pps_to_mbps
 
 __all__ = ["ConnectionConfig", "FlowHarness", "FlowResult", "run_flow"]
+
+#: Log-normal jitter values drawn per refill of a link's jitter stream.
+_JITTER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,9 @@ class FlowResult:
         return self.log.ack_loss_rate
 
 
-class _BufferedJitter:
-    """Per-packet jitter drawn from a block-buffered log-normal stream.
+def _jitter_fn(rng: Optional[RngStream], sigma: float) -> Optional[Callable[[], float]]:
+    """Per-packet jitter: the bound ``__next__`` of a block-buffered
+    log-normal stream.
 
     Call-for-call identical to ``rng.lognormal(-3.5, 1.0) * sigma``:
     :meth:`RngStream.lognormal_block` replicates CPython's rejection
@@ -122,33 +125,15 @@ class _BufferedJitter:
     pre-drawing a block only moves *when* the dedicated jitter stream
     is consumed, never what any call returns.
     """
-
-    __slots__ = ("_rng", "_sigma", "_values", "_cursor")
-
-    _BLOCK = 64
-
-    def __init__(self, rng: RngStream, sigma: float) -> None:
-        self._rng = rng
-        self._sigma = sigma
-        self._values: list = []
-        self._cursor = 0
-
-    def __call__(self) -> float:
-        cursor = self._cursor
-        values = self._values
-        if cursor >= len(values):
-            sigma = self._sigma
-            block = self._rng.lognormal_block(-3.5, 1.0, self._BLOCK)
-            values = self._values = [value * sigma for value in block]
-            cursor = 0
-        self._cursor = cursor + 1
-        return values[cursor]
-
-
-def _jitter_fn(rng: Optional[RngStream], sigma: float) -> Optional[Callable[[], float]]:
     if rng is None or sigma <= 0.0:
         return None
-    return _BufferedJitter(rng, sigma)
+
+    def draws():
+        while True:
+            for value in rng.lognormal_block(-3.5, 1.0, _JITTER_BLOCK):
+                yield value * sigma
+
+    return draws().__next__
 
 
 class FlowHarness:
@@ -159,17 +144,12 @@ class FlowHarness:
     in-flight log before harvesting :meth:`result`.  Construction wires
     everything and calls ``sender.start()``; the caller owns advancing
     the simulator and harvesting :meth:`result`.
-
-    Each harness owns a private :class:`PacketPool` shared by its
-    sender, receiver, and links, so steady-state rounds allocate no
-    packet objects and pooled packets never cross flows.
     """
 
     __slots__ = (
         "config",
         "simulator",
         "log",
-        "pool",
         "sender",
         "receiver",
         "data_link",
@@ -194,29 +174,21 @@ class FlowHarness:
         sim = simulator
         log = FlowLog()
         rng = RngStream(seed, "connection")
-        pool = PacketPool()
         self.config = config
         self.simulator = sim
         self.log = log
-        self.pool = pool
 
         # The wiring is cyclic (ACK link → sender → data link →
-        # receiver → ACK link), so the ACK link's deliver closes over
-        # the sender constructed below (late binding); it is also the
-        # terminal owner of a delivered ACK and recycles it.
-        def deliver_ack(ack, time: float) -> None:
-            sender.on_ack(ack, time)
-            pool.release_ack(ack)
-
+        # receiver → ACK link), so the ACK link starts with a deliver
+        # that closes over the sender constructed below (late binding)
+        # and is pointed straight at ``sender.on_ack`` once it exists.
         ack_link = Link(
             sim,
             delay=config.reverse_delay,
             loss_model=ack_loss or NoLoss(),
             jitter=_jitter_fn(rng.spawn("ack-jitter"), config.jitter_sigma),
-            deliver=deliver_ack,
+            deliver=lambda ack, time: sender.on_ack(ack, time),
             on_drop=lambda ack, time: log.record_ack_drop(ack.transmission_id),
-            packet_pool=pool,
-            release=pool.release_ack,
         )
         receiver = Receiver(
             sim,
@@ -224,7 +196,6 @@ class FlowHarness:
             log,
             b=config.b,
             delack_timeout=config.delack_timeout,
-            pool=pool,
         )
         if bottleneck_rate is not None:
             data_link = BottleneckLink(
@@ -237,8 +208,6 @@ class FlowHarness:
                 on_drop=lambda segment, time: log.record_data_drop(
                     segment.transmission_id
                 ),
-                packet_pool=pool,
-                release=pool.release_segment,
             )
         else:
             data_link = Link(
@@ -250,8 +219,6 @@ class FlowHarness:
                 on_drop=lambda segment, time: log.record_data_drop(
                     segment.transmission_id
                 ),
-                packet_pool=pool,
-                release=pool.release_segment,
             )
         redundant_link: Optional[Link] = None
         if redundant_data_loss is not None:
@@ -264,8 +231,6 @@ class FlowHarness:
                 on_drop=lambda segment, time: log.record_data_drop(
                     segment.transmission_id
                 ),
-                packet_pool=pool,
-                release=pool.release_segment,
             )
 
         sender = make_sender(
@@ -279,6 +244,7 @@ class FlowHarness:
             rto=RtoEstimator(initial_rto=config.initial_rto, min_rto=config.min_rto),
             redundant_retransmit_link=redundant_link,
         )
+        ack_link.deliver = sender.on_ack
         self.sender = sender
         self.receiver = receiver
         self.data_link = data_link

@@ -17,6 +17,9 @@ Two scheduling paths share the heap:
   No handle is allocated; the callback fires as ``action(payload,
   fire_time)``, so a link can schedule its ``deliver`` callback with
   the packet as payload instead of allocating a closure per packet.
+  Links call it once per surviving packet; there is no batch variant,
+  because a sender's window round holds too few packets (about two on
+  the paper's HSR channels) for a batch to pay for the lists it builds.
 
 The engine keeps its own event accounting as plain counters read at
 the end of a run (:attr:`Simulator.events_scheduled`,
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import time as _time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.util.errors import BudgetExceededError, SimulationError
 
@@ -139,36 +142,6 @@ class Simulator:
             self._queue, (self.now + delay, self._sequence, action, payload, None)
         )
         self._sequence += 1
-
-    def schedule_calls_at(
-        self, times: Sequence[float], action: Callable, payloads: Sequence
-    ) -> None:
-        """Schedule a batch of ``action(payload, fire_time)`` events.
-
-        ``times`` are *absolute* simulation times, one per payload; all
-        events share ``action``.  Equivalent to a loop of
-        :meth:`schedule_call` — same heap entries, same consecutive
-        sequence numbers in list order — but the sequence counter and
-        heap push are bound once per batch, which is what makes burst
-        delivery (``Link.send_burst``) cheaper than per-packet calls.
-        """
-        if len(times) != len(payloads):
-            raise SimulationError(
-                f"batch mismatch: {len(times)} times for {len(payloads)} payloads"
-            )
-        now = self.now
-        queue = self._queue
-        heappush = heapq.heappush
-        sequence = self._sequence
-        for time, payload in zip(times, payloads):
-            if time < now:
-                self._sequence = sequence
-                raise SimulationError(
-                    f"cannot schedule into the past (time={time}, now={now})"
-                )
-            heappush(queue, (time, sequence, action, payload, None))
-            sequence += 1
-        self._sequence = sequence
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` at an absolute simulation time."""

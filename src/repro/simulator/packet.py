@@ -7,25 +7,17 @@ a packet arrived — the mechanism behind the paper's spurious-timeout
 classification ("the receiver will receive two packets with the same
 payload").
 
-**Pooling.**  Packets are by far the most-allocated objects of a run
-(one :class:`Segment` per wire transmission, one :class:`AckSegment`
-per ACK), and every one of them is dead the moment its delivery or
-drop callback returns — nothing downstream retains a packet, only the
-plain-integer ``transmission_id`` recorded in the flow log.  A
-:class:`PacketPool` therefore recycles them through per-type free
-lists: the sender/receiver acquire from the pool, and the terminal
-end of each packet's life (the link's drop branch, or the consumer
-callback after processing a delivery) releases it back.  Segments are
-mutable for exactly this reason; code outside the pool must treat a
-packet as immutable for its in-flight lifetime.
+A packet is created once per wire transmission and dropped by its
+terminal callback (the link's drop branch or the consumer's deliver);
+nothing downstream keeps it, only the plain-integer ``transmission_id``
+recorded in the flow log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-__all__ = ["AckSegment", "PacketPool", "Segment"]
+__all__ = ["AckSegment", "Segment"]
 
 
 @dataclass(slots=True)
@@ -59,107 +51,3 @@ class AckSegment:
     send_time: float
     is_duplicate: bool = False
     subflow_id: int = 0
-
-
-class PacketPool:
-    """Free-list reuse of :class:`Segment`/:class:`AckSegment` objects.
-
-    One pool serves one flow (sender, receiver, and links share it), so
-    a recycled object can never leak between concurrently running
-    flows.  Releasing an object the pool did not create is allowed —
-    the free list only cares about the type — which keeps third-party
-    senders that construct their own segments compatible with a pooled
-    receiver.
-
-    The pool never shrinks; its high-water mark is the flow's maximum
-    in-flight packet count (a few dozen), so memory is bounded and
-    steady-state rounds allocate nothing.
-    """
-
-    __slots__ = ("_segments", "_acks")
-
-    def __init__(self) -> None:
-        self._segments: List[Segment] = []
-        self._acks: List[AckSegment] = []
-
-    # -- acquisition ---------------------------------------------------
-
-    def segment(
-        self,
-        seq: int,
-        transmission_id: int,
-        send_time: float,
-        is_retransmission: bool = False,
-        in_timeout_recovery: bool = False,
-        subflow_id: int = 0,
-    ) -> Segment:
-        """A :class:`Segment` with the given fields, recycled if possible."""
-        free = self._segments
-        if free:
-            packet = free.pop()
-            packet.seq = seq
-            packet.transmission_id = transmission_id
-            packet.send_time = send_time
-            packet.is_retransmission = is_retransmission
-            packet.in_timeout_recovery = in_timeout_recovery
-            packet.subflow_id = subflow_id
-            return packet
-        return Segment(
-            seq, transmission_id, send_time,
-            is_retransmission, in_timeout_recovery, subflow_id,
-        )
-
-    def ack(
-        self,
-        ack_seq: int,
-        transmission_id: int,
-        send_time: float,
-        is_duplicate: bool = False,
-        subflow_id: int = 0,
-    ) -> AckSegment:
-        """An :class:`AckSegment` with the given fields, recycled if possible."""
-        free = self._acks
-        if free:
-            packet = free.pop()
-            packet.ack_seq = ack_seq
-            packet.transmission_id = transmission_id
-            packet.send_time = send_time
-            packet.is_duplicate = is_duplicate
-            packet.subflow_id = subflow_id
-            return packet
-        return AckSegment(
-            ack_seq, transmission_id, send_time, is_duplicate, subflow_id
-        )
-
-    # -- release -------------------------------------------------------
-
-    def release_segment(self, packet: Segment) -> None:
-        """Return a data segment to the free list.
-
-        The caller must hold the only live reference: a released packet
-        is mutated by the next :meth:`segment` call.
-        """
-        self._segments.append(packet)
-
-    def release_ack(self, packet: AckSegment) -> None:
-        """Return an ACK segment to the free list (same contract)."""
-        self._acks.append(packet)
-
-    def release(self, packet) -> None:
-        """Type-dispatching release for callers holding either kind."""
-        if type(packet) is Segment:
-            self._segments.append(packet)
-        elif type(packet) is AckSegment:
-            self._acks.append(packet)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"not a poolable packet: {packet!r}")
-
-    # -- introspection (tests / diagnostics) ---------------------------
-
-    @property
-    def free_segments(self) -> int:
-        return len(self._segments)
-
-    @property
-    def free_acks(self) -> int:
-        return len(self._acks)

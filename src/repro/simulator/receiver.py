@@ -50,7 +50,6 @@ class Receiver:
         "_pending_unacked",
         "_delack_timer",
         "_ack_transmission_counter",
-        "_pool",
     )
 
     def __init__(
@@ -61,7 +60,6 @@ class Receiver:
         b: int = 2,
         delack_timeout: float = DEFAULT_DELACK_TIMEOUT,
         subflow_id: int = 0,
-        pool=None,
     ) -> None:
         if b < 1:
             raise ConfigurationError(f"b must be >= 1, got {b}")
@@ -82,10 +80,6 @@ class Receiver:
         self._pending_unacked = 0
         self._delack_timer: Optional[EventHandle] = None
         self._ack_transmission_counter = 0
-        #: optional :class:`~repro.simulator.packet.PacketPool` shared
-        #: with the flow's sender/links; ACKs are acquired from it and
-        #: delivered data segments recycled into it
-        self._pool = pool
 
     # -- data path ------------------------------------------------------
 
@@ -93,11 +87,6 @@ class Receiver:
         """Handle an arriving data segment (the Link's deliver callback)."""
         self._log.record_data_arrival(segment.transmission_id, arrival_time)
         seq = segment.seq
-        if self._pool is not None:
-            # The receiver is the terminal owner of a delivered data
-            # segment; only its plain-int fields are needed past this
-            # point, so recycle it before the ACK logic runs.
-            self._pool.release_segment(segment)
         if seq in self._delivered:
             # Second copy of an already-received payload: the smoking
             # gun of a spurious retransmission (paper Section III-B.2).
@@ -149,25 +138,9 @@ class Receiver:
             self._delack_timer = None
         self._pending_unacked = 0
         now = self._simulator.now
-        pool = self._pool
-        if pool is not None:
-            ack = pool.ack(
-                self.expected_seq,
-                self._ack_transmission_counter,
-                now,
-                is_duplicate,
-                self.subflow_id,
-            )
-        else:
-            ack = AckSegment(
-                ack_seq=self.expected_seq,
-                transmission_id=self._ack_transmission_counter,
-                send_time=now,
-                is_duplicate=is_duplicate,
-                subflow_id=self.subflow_id,
-            )
-        self._ack_transmission_counter += 1
-        self._log.record_ack_send(
-            ack.transmission_id, ack.ack_seq, now, is_duplicate, self.subflow_id
-        )
-        self._ack_link.send(ack)
+        tid = self._ack_transmission_counter
+        self._ack_transmission_counter = tid + 1
+        ack_seq = self.expected_seq
+        subflow_id = self.subflow_id
+        self._log.record_ack_send(tid, ack_seq, now, is_duplicate, subflow_id)
+        self._ack_link.send(AckSegment(ack_seq, tid, now, is_duplicate, subflow_id))

@@ -60,9 +60,25 @@ class RtoEstimator:
 
     @property
     def current_rto(self) -> float:
-        """The timer value including exponential backoff (capped at 64x)."""
-        factor = min(2**self._backoff_exponent, MAX_BACKOFF_FACTOR)
-        return min(self.base_rto * factor, self.max_rto * MAX_BACKOFF_FACTOR)
+        """The timer value including exponential backoff (capped at 64x).
+
+        :attr:`base_rto` and :meth:`_clamp` written out in one
+        expression, with the same operations in the same order: every
+        RTO arm reads it.
+        """
+        return min(
+            min(
+                max(
+                    self.srtt + max(self.granularity, _K * self.rttvar)
+                    if self._has_sample
+                    else self.initial_rto,
+                    self.min_rto,
+                ),
+                self.max_rto,
+            )
+            * min(2**self._backoff_exponent, MAX_BACKOFF_FACTOR),
+            self.max_rto * MAX_BACKOFF_FACTOR,
+        )
 
     def on_measurement(self, rtt_sample: float) -> None:
         """Fold in an RTT sample (Karn's rule: callers must only pass

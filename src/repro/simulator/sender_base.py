@@ -5,8 +5,11 @@ and every variant shares: the send window bookkeeping (``snd_una`` /
 ``snd_nxt`` / ``snd_max``), duplicate-ACK counting and fast
 retransmit, RTO arming with exponential backoff (via
 :class:`~repro.simulator.rto.RtoEstimator`), timeout-recovery phase
-records, Karn-filtered RTT sampling, packet pooling, and the batched
-burst path into the link.  Its default policy hooks implement classic
+records, and Karn-filtered RTT sampling.  Every wire transmission is
+one :class:`~repro.simulator.packet.Segment` handed to the link's
+``send``; a window round is too short (about two packets on the
+paper's HSR channels) for a batched path to pay for itself.  Its
+default policy hooks implement classic
 Reno, so :class:`~repro.simulator.reno.RenoSender` is this class
 unchanged; CUBIC, BBR, Compound, and Relentless override only the
 hooks below.
@@ -101,8 +104,6 @@ class BaseSender:
         "_transmission_counter",
         "_send_info",
         "rto_armed",
-        "_pool",
-        "_send_burst",
     )
 
     def __init__(
@@ -146,12 +147,6 @@ class BaseSender:
         #: times the retransmission timer was (re)armed -- the one
         #: observable no log row records
         self.rto_armed = 0
-        # Packet pooling is discovered from the link rather than taken
-        # as a constructor argument, so the CC registry's sender
-        # signature stays pool-agnostic; links wired without a pool
-        # (third-party harnesses, manual tests) simply allocate.
-        self._pool = getattr(data_link, "packet_pool", None)
-        self._send_burst = getattr(data_link, "send_burst", None)
         self._log.record_cwnd(simulator.now, self.cwnd, self._phase)
 
     # -- public surface ---------------------------------------------------
@@ -249,49 +244,35 @@ class BaseSender:
     # -- transmission loop --------------------------------------------------
 
     def _send_range(self, limit: int) -> None:
-        """(Re)transmit sequence numbers from ``snd_nxt`` up to ``limit``."""
+        """Transmit sequence numbers from ``snd_nxt`` up to ``limit``.
+
+        The window loop of :meth:`pump` (and BBR's paced quanta), which
+        never runs in timeout recovery, so no segment here is a
+        recovery retransmission or needs a redundant copy — that case
+        is :meth:`_transmit`'s.  A segment below ``snd_max`` resends
+        data pulled back by an RTO; one at or above it was never sent,
+        so it has no Karn history to carry over.
+        """
         nxt = self.snd_nxt
-        count = limit - nxt
-        if count <= 0:
+        if nxt >= limit:
             return
-        if count == 1 or self._send_burst is None:
-            while self.snd_nxt < limit:
-                self._transmit(
-                    self.snd_nxt, is_retransmission=self.snd_nxt < self.snd_max
-                )
-                self.snd_nxt += 1
-                if self.snd_nxt > self.snd_max:
-                    self.snd_max = self.snd_nxt
-            return
-        # Burst path: build the whole round, then hand it to the link
-        # in one call so loss draws and event scheduling batch.  ``seq < snd_max`` (the pre-burst value) is exactly
-        # the retransmission flag the scalar loop computes, because
-        # snd_max only trails snd_nxt upward inside the loop.
         now = self._simulator.now
         snd_max = self.snd_max
         subflow_id = self.subflow_id
-        pool = self._pool
         send_info = self._send_info
         record_send = self._log.record_data_send
+        send = self._data_link.send
         tid = self._transmission_counter
-        segments = []
-        append = segments.append
         for seq in range(nxt, limit):
             retx = seq < snd_max
-            if pool is not None:
-                segment = pool.segment(seq, tid, now, retx, False, subflow_id)
-            else:
-                segment = Segment(seq, tid, now, retx, False, subflow_id)
-            previous = send_info.get(seq)
-            send_info[seq] = (now, retx or (previous is not None and previous[1]))
+            send_info[seq] = (now, retx)
             record_send(tid, seq, now, retx, False, subflow_id)
+            send(Segment(seq, tid, now, retx, False, subflow_id))
             tid += 1
-            append(segment)
         self._transmission_counter = tid
         self.snd_nxt = limit
         if limit > snd_max:
             self.snd_max = limit
-        self._send_burst(segments)
 
     # -- ACK processing -----------------------------------------------------
 
@@ -369,9 +350,10 @@ class BaseSender:
     # -- timeout handling ---------------------------------------------------
 
     def _ensure_rto_armed(self) -> None:
-        if self._rto_timer is None and self.has_outstanding_data:
-            rto_value = self.rto.current_rto
-            self._rto_timer = self._simulator.schedule(rto_value, self._on_rto_fired)
+        if self._rto_timer is None and self.snd_una < self.snd_max:
+            self._rto_timer = self._simulator.schedule(
+                self.rto.current_rto, self._on_rto_fired
+            )
             self.rto_armed += 1
 
     def _restart_rto_timer(self) -> None:
@@ -442,25 +424,14 @@ class BaseSender:
     def _transmit(self, seq: int, is_retransmission: bool) -> None:
         now = self._simulator.now
         in_recovery = self._phase == _TIMEOUT_RECOVERY
-        pool = self._pool
-        if pool is not None:
-            segment = pool.segment(
-                seq,
-                self._transmission_counter,
-                now,
-                is_retransmission,
-                in_recovery and is_retransmission,
-                self.subflow_id,
-            )
-        else:
-            segment = Segment(
-                seq=seq,
-                transmission_id=self._transmission_counter,
-                send_time=now,
-                is_retransmission=is_retransmission,
-                in_timeout_recovery=in_recovery and is_retransmission,
-                subflow_id=self.subflow_id,
-            )
+        segment = Segment(
+            seq=seq,
+            transmission_id=self._transmission_counter,
+            send_time=now,
+            is_retransmission=is_retransmission,
+            in_timeout_recovery=in_recovery and is_retransmission,
+            subflow_id=self.subflow_id,
+        )
         self._transmission_counter += 1
         previous = self._send_info.get(seq)
         self._send_info[seq] = (now, is_retransmission or (previous is not None and previous[1]))

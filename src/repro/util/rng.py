@@ -19,11 +19,6 @@ import random
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence
 
-try:  # optional acceleration for block post-processing (never generation)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    _np = None
-
 __all__ = ["RngStream", "spawn_streams", "derive_seed"]
 
 #: ``4 * exp(-0.5) / sqrt(2)`` — CPython's Kinderman–Monahan constant,
@@ -94,12 +89,12 @@ class RngStream:
 
     # -- batched draws --------------------------------------------------
     #
-    # The hot-path loss models consume their stream in pre-drawn blocks
-    # (see repro.simulator.channel).  Batched draws are element-for-
-    # element identical to the scalar methods above: random_block(n)
-    # yields exactly the values n successive random() calls would, and
-    # the derived blocks apply the same per-element expressions (and
-    # the same 0/1 short-circuits) as their scalar counterparts.
+    # The hot-path loss models and link jitter consume their streams in
+    # pre-drawn blocks (see repro.simulator.channel and .connection).
+    # Batched draws are element-for-element identical to the scalar
+    # methods above: random_block(n) yields exactly the values n
+    # successive random() calls would, and lognormal_block(n) replays
+    # lognormal()'s rejection loop with the same arithmetic.
     #
     # Buffer contract: the float-block methods fill and return a
     # *preallocated* ``array('d')`` owned by this stream (one buffer per
@@ -128,38 +123,6 @@ class RngStream:
         buffer = self._checked_block(n)
         random = self._random.random
         buffer[:] = array("d", [random() for _ in range(n)])
-        return buffer
-
-    def bernoulli_block(self, probability: float, n: int) -> List[bool]:
-        """``n`` Bernoulli outcomes, identical to ``n`` scalar calls.
-
-        Mirrors :meth:`bernoulli` exactly: probabilities ``<= 0`` and
-        ``>= 1`` short-circuit without consuming any underlying draws.
-        The comparison is vectorised through numpy when available.
-        """
-        self._checked_block(n)
-        if probability <= 0.0:
-            return [False] * n
-        if probability >= 1.0:
-            return [True] * n
-        random = self._random.random
-        if _np is not None and n >= 32:
-            draws = self.random_block(n)
-            return (_np.frombuffer(draws) < probability).tolist()
-        return [random() < probability for _ in range(n)]
-
-    def expovariate_block(self, rate: float, n: int) -> Sequence[float]:
-        """``n`` exponential draws, identical to ``n`` scalar calls.
-
-        Uses the same expression CPython's ``Random.expovariate`` uses
-        (``-log(1 - random()) / rate``), so each element is bit-identical
-        to the corresponding :meth:`expovariate` call.  Returned in the
-        stream's preallocated ``array('d')`` buffer.
-        """
-        buffer = self._checked_block(n)
-        random = self._random.random
-        log = math.log
-        buffer[:] = array("d", [-log(1.0 - random()) / rate for _ in range(n)])
         return buffer
 
     def lognormal_block(self, mu: float, sigma: float, n: int) -> Sequence[float]:

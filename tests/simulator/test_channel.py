@@ -9,6 +9,7 @@ from repro.simulator.channel import (
     HandoffLoss,
     Link,
     NoLoss,
+    RoundCorrelatedLoss,
     TraceDrivenLoss,
 )
 from repro.simulator.engine import Simulator
@@ -254,24 +255,6 @@ class TestGilbertElliottBoundaries:
         model._advance_to(horizon)
         assert model._state_expires > horizon
 
-    def test_block_at_expiry_matches_scalar(self):
-        # A burst whose timestamps straddle the state boundary draws
-        # exactly the outcomes the scalar walk would.
-        scalar = self._model(seed=91, loss_good=0.3, loss_bad=0.9)
-        block = self._model(seed=91, loss_good=0.3, loss_bad=0.9)
-        edge = scalar._state_expires
-        times = [edge - 1e-9, edge, edge, edge + 1e-9]
-        expected = [scalar.is_lost(now) for now in times]
-        assert list(block.is_lost_block(times)) == expected
-        assert block._state_expires == scalar._state_expires
-        assert block._in_bad_state == scalar._in_bad_state
-
-    def test_zero_length_burst_is_a_noop(self):
-        model = self._model()
-        state = (model._in_bad_state, model._state_expires)
-        assert list(model.is_lost_block([])) == []
-        assert (model._in_bad_state, model._state_expires) == state
-
 
 class TestHandoffBoundaries:
     """Half-open outage windows and cursor behaviour at the edges."""
@@ -298,23 +281,49 @@ class TestHandoffBoundaries:
         assert model.in_outage(2.0)
         assert not model.in_outage(3.0)
 
-    def test_zero_length_burst_is_a_noop(self):
-        model = HandoffLoss(rng(), outages=[(1.0, 2.0)])
-        model.in_outage(0.5)
-        cursor = model._cursor_outage
-        assert list(model.is_lost_block([])) == []
-        assert model._cursor_outage == cursor
-
-    def test_block_at_window_edge_matches_scalar(self):
-        scalar = HandoffLoss(RngStream(5, "h"), outages=[(1.0, 2.0)], base_rate=0.2)
-        block = HandoffLoss(RngStream(5, "h"), outages=[(1.0, 2.0)], base_rate=0.2)
-        for edge in (1.0, 2.0):
-            times = [edge] * 6
-            expected = [scalar.is_lost(now) for now in times]
-            assert list(block.is_lost_block(times)) == expected
-
     def test_cursor_past_last_outage(self):
         model = HandoffLoss(rng(), outages=[(1.0, 2.0)])
         assert not model.in_outage(10.0)
         assert not model.in_outage(11.0)
         assert model._cursor_outage == 1
+
+
+class TestInlinedDrawsMatchScalarReplica:
+    """The hot models read their uniform block inline; each decision
+    must still be the one the scalar stream calls would give."""
+
+    def test_handoff_loss(self):
+        outages = [(0.05, 0.3), (0.3, 0.31), (0.9, 1.1)]
+        model = HandoffLoss(
+            RngStream(5, "h"), outages, base_rate=0.05, loss_during=0.9
+        )
+        replica = HandoffLoss(RngStream(0), outages)  # in_outage only
+        stream = RngStream(5, "h")
+        for step in range(400):
+            now = step * 0.003
+            rate = 0.9 if replica.in_outage(now) else 0.05
+            assert model.is_lost(now) == stream.bernoulli(rate)
+
+    def test_handoff_certain_rates_draw_nothing(self):
+        model = HandoffLoss(RngStream(8, "h"), [(1.0, 2.0)], loss_during=1.0)
+        assert [model.is_lost(t) for t in (0.5, 1.0, 1.5, 2.0)] == [
+            False, True, True, False,
+        ]
+        assert model._cursor == 0
+
+    def test_round_correlated_loss(self):
+        model = RoundCorrelatedLoss(
+            RngStream(6, "r"), trigger_rate=0.08, round_duration=0.2
+        )
+        stream = RngStream(6, "r")
+        burst_until = -float("inf")
+        for step in range(600):
+            now = step * 0.01
+            if now < burst_until:
+                expected = True
+            elif stream.bernoulli(0.08):
+                burst_until = now + 0.2
+                expected = True
+            else:
+                expected = False
+            assert model.is_lost(now) == expected

@@ -227,85 +227,3 @@ class TestScheduleCall:
         assert seen == [(0, 1.0), (1, 2.0)]
         sim.run()
         assert seen[-1] == (2, 3.0)
-
-
-class TestScheduleCallsAt:
-    """The batch scheduler burst delivery rides on."""
-
-    def test_each_payload_fires_at_its_time(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_calls_at(
-            [1.0, 2.0, 3.0],
-            lambda pkt, time: seen.append((pkt, time)),
-            ["a", "b", "c"],
-        )
-        sim.run()
-        assert seen == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
-
-    def test_ties_fire_in_list_order(self):
-        # Batch entries get consecutive sequence numbers in list order,
-        # so same-time events keep their submission order — the burst
-        # path's equivalence to per-packet scheduling depends on it.
-        sim = Simulator()
-        seen = []
-        sim.schedule_calls_at(
-            [1.0, 1.0, 1.0], lambda pkt, time: seen.append(pkt), [0, 1, 2]
-        )
-        sim.run()
-        assert seen == [0, 1, 2]
-
-    def test_interleaves_with_scalar_scheduling(self):
-        # A batch submitted between two scalar calls slots between them
-        # exactly as three scalar schedule_call invocations would.
-        batched = Simulator()
-        fired_batched = []
-        batched.schedule_call(1.0, lambda pkt, t: fired_batched.append(pkt), "first")
-        batched.schedule_calls_at(
-            [1.0, 1.0], lambda pkt, t: fired_batched.append(pkt), ["x", "y"]
-        )
-        batched.schedule_call(1.0, lambda pkt, t: fired_batched.append(pkt), "last")
-
-        scalar = Simulator()
-        fired_scalar = []
-        for payload in ("first", "x", "y", "last"):
-            scalar.schedule_call(1.0, lambda pkt, t: fired_scalar.append(pkt), payload)
-
-        batched.run()
-        scalar.run()
-        assert fired_batched == fired_scalar
-
-    def test_length_mismatch_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_calls_at([1.0, 2.0], lambda pkt, time: None, ["only"])
-
-    def test_past_time_rejected_without_partial_batch(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.now == 1.0
-        with pytest.raises(SimulationError):
-            sim.schedule_calls_at(
-                [2.0, 0.5], lambda pkt, time: None, ["ok", "stale"]
-            )
-        # The valid head was already pushed; it must still fire once.
-        fired = []
-        sim.schedule_calls_at([3.0], lambda pkt, time: fired.append(pkt), ["tail"])
-        sim.run()
-        assert sim.events_processed == 3
-
-    def test_empty_batch_is_a_noop(self):
-        sim = Simulator()
-        sim.schedule_calls_at([], lambda pkt, time: None, [])
-        assert sim.live_events == 0
-
-    def test_instrumented_simulator_counts_batch(self):
-        # The engine's own event accounting counts every batched push.
-        sim = Simulator()
-        sim.schedule_calls_at(
-            [1.0, 2.0, 3.0], lambda pkt, time: None, ["a", "b", "c"]
-        )
-        assert sim.events_scheduled == 3
-        sim.run()
-        assert (sim.events_processed, sim.events_cancelled) == (3, 0)

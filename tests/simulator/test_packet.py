@@ -1,8 +1,6 @@
-"""Unit tests for packet dataclasses and the free-list PacketPool."""
+"""Unit tests for the packet dataclasses."""
 
-import pytest
-
-from repro.simulator.packet import AckSegment, PacketPool, Segment
+from repro.simulator.packet import AckSegment, Segment
 
 
 class TestSegments:
@@ -16,70 +14,3 @@ class TestSegments:
         ack = AckSegment(ack_seq=9, transmission_id=2, send_time=0.25)
         assert not ack.is_duplicate
         assert ack.subflow_id == 0
-
-
-class TestPacketPool:
-    def test_acquire_returns_fresh_objects_when_empty(self):
-        pool = PacketPool()
-        first = pool.segment(0, 0, 0.0, False, False, 0)
-        second = pool.segment(1, 1, 0.1, False, False, 0)
-        assert first is not second
-        assert pool.free_segments == 0
-
-    def test_release_then_acquire_reuses_the_object(self):
-        pool = PacketPool()
-        segment = pool.segment(0, 0, 0.0, False, False, 0)
-        pool.release_segment(segment)
-        assert pool.free_segments == 1
-        again = pool.segment(5, 9, 2.5, True, True, 1)
-        assert again is segment
-        assert pool.free_segments == 0
-
-    def test_reused_segment_fields_fully_overwritten(self):
-        # Every field must be reassigned on reuse — a stale
-        # is_retransmission flag from the packet's previous life would
-        # silently corrupt RTT sampling (Karn's rule keys off it).
-        pool = PacketPool()
-        stale = pool.segment(1, 2, 3.0, True, True, 4)
-        pool.release_segment(stale)
-        fresh = pool.segment(0, 0, 0.0, False, False, 0)
-        assert (
-            fresh.seq,
-            fresh.transmission_id,
-            fresh.send_time,
-            fresh.is_retransmission,
-            fresh.in_timeout_recovery,
-            fresh.subflow_id,
-        ) == (0, 0, 0.0, False, False, 0)
-
-    def test_ack_free_list_round_trip(self):
-        pool = PacketPool()
-        ack = pool.ack(3, 1, 0.5, True, 2)
-        pool.release_ack(ack)
-        assert pool.free_acks == 1
-        again = pool.ack(0, 0, 0.0, False, 0)
-        assert again is ack
-        assert not again.is_duplicate
-
-    def test_release_dispatches_on_type(self):
-        pool = PacketPool()
-        segment = pool.segment(0, 0, 0.0, False, False, 0)
-        ack = pool.ack(0, 0, 0.0, False, 0)
-        pool.release(segment)
-        pool.release(ack)
-        assert pool.free_segments == 1
-        assert pool.free_acks == 1
-
-    def test_release_accepts_foreign_packets(self):
-        # Packets built outside the pool (the MPTCP redundant copy)
-        # may still be handed back by a shared link release callback.
-        pool = PacketPool()
-        pool.release(Segment(seq=0, transmission_id=0, send_time=0.0))
-        pool.release(AckSegment(ack_seq=0, transmission_id=0, send_time=0.0))
-        assert pool.free_segments == 1
-        assert pool.free_acks == 1
-
-    def test_pools_are_independent(self):
-        left, right = PacketPool(), PacketPool()
-        left.release_segment(Segment(seq=0, transmission_id=0, send_time=0.0))
-        assert right.free_segments == 0

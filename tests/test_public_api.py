@@ -134,7 +134,6 @@ API_SNAPSHOT = {
         "MptcpResult",
         "NewRenoSender",
         "NoLoss",
-        "PacketPool",
         "Receiver",
         "RecoveryPhaseRecord",
         "RelentlessSender",
