@@ -79,18 +79,21 @@ def _timed_cached_campaign(flow_scale: float, duration: float, cc: str):
     """Cold (populate) then warm (all hits) run through a ResultStore."""
     import tempfile
 
+    from repro.context import run_context
     from repro.traces.generator import generate_dataset
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
         start = time.perf_counter()
-        generate_dataset(
-            seed=2015, duration=duration, flow_scale=flow_scale, store=tmp, cc=cc
-        )
+        with run_context(store=tmp):
+            generate_dataset(
+                seed=2015, duration=duration, flow_scale=flow_scale, cc=cc
+            )
         cold_s = time.perf_counter() - start
         start = time.perf_counter()
-        warm_dataset = generate_dataset(
-            seed=2015, duration=duration, flow_scale=flow_scale, store=tmp, cc=cc
-        )
+        with run_context(store=tmp):
+            warm_dataset = generate_dataset(
+                seed=2015, duration=duration, flow_scale=flow_scale, cc=cc
+            )
         warm_s = time.perf_counter() - start
     return warm_dataset, cold_s, warm_s
 

@@ -158,12 +158,14 @@ def smoke_store() -> None:
     import tempfile
 
     import repro.exec.executor as executor_module
+    from repro.context import run_context
     from repro.store import ResultStore
     from repro.traces.generator import generate_dataset
 
     with tempfile.TemporaryDirectory(prefix="repro-smoke-store-") as tmp:
         fresh = generate_dataset(seed=2015, duration=8.0, flow_scale=0.04)
-        cold = generate_dataset(seed=2015, duration=8.0, flow_scale=0.04, store=tmp)
+        with run_context(store=tmp):
+            cold = generate_dataset(seed=2015, duration=8.0, flow_scale=0.04)
 
         calls = []
         real_simulate_spec = executor_module.simulate_spec
@@ -174,9 +176,8 @@ def smoke_store() -> None:
 
         executor_module.simulate_spec = counting_simulate_spec
         try:
-            warm = generate_dataset(
-                seed=2015, duration=8.0, flow_scale=0.04, store=tmp
-            )
+            with run_context(store=tmp):
+                warm = generate_dataset(seed=2015, duration=8.0, flow_scale=0.04)
         finally:
             executor_module.simulate_spec = real_simulate_spec
 

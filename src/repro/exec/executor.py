@@ -2,18 +2,19 @@
 
 This is the single funnel every campaign and sweep goes through.  The
 :class:`Executor` takes a list of :class:`~repro.exec.spec.FlowSpec`,
-runs each with the resilient attempt loop (retry with deterministically
-reseeded attempts, quarantine on exhaustion), and assembles a
-:class:`~repro.robustness.campaign.CampaignReport` **in spec order** —
-so a 4-worker run produces the same traces and the same report bytes as
-a serial run of the same batch.
+hands them to the supervisor's attempt loop (retry with
+deterministically reseeded attempts, quarantine on exhaustion, all
+under its :class:`~repro.robustness.campaign.RetryPolicy`), and
+assembles a :class:`~repro.robustness.campaign.CampaignReport` **in
+spec order** — so a 4-worker run produces the same traces and the same
+report bytes as a serial run of the same batch.
 
 :meth:`Executor.run` is one fixed pipeline: partition the batch into
 result-store hits and misses (when a store is ambient), run the misses
-through :class:`~repro.exec.supervise.SupervisedBackend` — the one pool
-loop: crash recovery, deadlines, chaos, signal drain — write the fresh
-results back, and build the report.  A backend is only a *placement*,
-saying where the misses run:
+through :class:`~repro.exec.supervise.SupervisedBackend` — the one
+attempt loop: retries, quarantine, crash recovery, deadlines, chaos,
+signal drain — write the fresh results back, and build the report.  A
+backend is only a *placement*, saying where the misses run:
 
 * :class:`SerialBackend` — in the calling process, in order; the
   default.
@@ -76,9 +77,10 @@ def simulate_spec(spec: FlowSpec) -> Tuple[FlowResult, Optional["FlowTrace"]]:
     """Run one spec exactly once — no retries, no report.
 
     Returns ``(result, trace)``; the trace is None unless the spec
-    carries metadata.  This is the primitive the executor's attempt
-    loop calls, and the right entry point for single-flow experiment
-    code that wants a spec's semantics without campaign bookkeeping.
+    carries metadata.  This is the primitive each attempt of the
+    supervisor's loop runs, and the right entry point for single-flow
+    experiment code that wants a spec's semantics without campaign
+    bookkeeping.
     """
     resolved = spec.resolve()
     result = run_flow(
@@ -179,87 +181,6 @@ def _restore_outcome(
         attempts=attempts,
         cache_state=cache_state,
         skipped=skipped,
-    )
-
-
-def _execute_payload(
-    payload: Tuple[int, FlowSpec, RetryPolicy],
-) -> FlowOutcome:
-    """The per-flow attempt loop; module-level so backends can pickle it.
-
-    Failure accounting mirrors the campaign contract: every attempt's
-    exception becomes a :class:`FlowFailure` carrying the exact seed
-    that reproduces it, and a flow that exhausts its budget becomes a
-    :class:`QuarantineRecord` keyed by its base seed.
-
-    The loop is taxonomy-aware
-    (:data:`~repro.robustness.campaign.FAILURE_CLASSES`): a failure the
-    policy classifies as ``deterministic`` (same spec, same crash —
-    e.g. :class:`~repro.util.errors.ConfigurationError`) quarantines on
-    attempt 0 instead of burning the retry budget.  A retry runs at
-    once: a reseeded simulation gains nothing from waiting.
-    """
-    index, spec, policy = payload
-    failures: List[FlowFailure] = []
-    last_error = "unknown"
-    for attempt in range(policy.max_attempts):
-        seed = policy.seed_for_attempt(spec.seed, attempt)
-        attempt_spec = spec if attempt == 0 else spec.for_attempt(seed)
-        try:
-            result, trace = simulate_spec(attempt_spec)
-        except Exception as error:  # per-flow isolation: record, retry
-            failure_class = policy.classify(error)
-            last_error = f"{type(error).__name__}: {error}"
-            failures.append(
-                FlowFailure(
-                    flow_id=spec.flow_id,
-                    attempt=attempt,
-                    seed=seed,
-                    error_type=type(error).__name__,
-                    error=str(error),
-                    failure_class=failure_class,
-                )
-            )
-            if not policy.retries(failure_class):
-                return FlowOutcome(
-                    index=index,
-                    spec=spec,
-                    result=None,
-                    trace=None,
-                    failures=failures,
-                    quarantine=QuarantineRecord(
-                        flow_id=spec.flow_id,
-                        seed=spec.seed,
-                        reason=(
-                            f"deterministic failure on attempt {attempt}; "
-                            f"not retried: {last_error}"
-                        ),
-                    ),
-                    attempts=attempt + 1,
-                )
-        else:
-            return FlowOutcome(
-                index=index,
-                spec=spec,
-                result=result,
-                trace=trace,
-                failures=failures,
-                attempts=attempt + 1,
-            )
-    return FlowOutcome(
-        index=index,
-        spec=spec,
-        result=None,
-        trace=None,
-        failures=failures,
-        quarantine=QuarantineRecord(
-            flow_id=spec.flow_id,
-            seed=spec.seed,
-            reason=(
-                f"all {policy.max_attempts} attempts failed; last: {last_error}"
-            ),
-        ),
-        attempts=policy.max_attempts,
     )
 
 
@@ -414,9 +335,10 @@ class Executor:
            (:func:`~repro.context.run_context`), partition the batch
            into store hits and misses, in this process;
         2. run the misses through
-           :class:`~repro.exec.supervise.SupervisedBackend` — crash
-           recovery, deadlines, chaos, signal drain — on the placement:
-           serial or pool.  The run context's ``supervisor`` policy
+           :class:`~repro.exec.supervise.SupervisedBackend` — retries
+           under :attr:`retry_policy`, quarantine, crash recovery,
+           deadlines, chaos, signal drain — on the placement: serial or
+           pool.  The run context's ``supervisor`` policy
            applies unless :attr:`backend` is itself a configured
            ``SupervisedBackend``;
         3. write the fresh results to the store;
@@ -448,10 +370,9 @@ class Executor:
         collect = self.telemetry
         if collect is None:
             collect = context.telemetry is not None
-        prepared = [self._finalise(spec, context) for spec in specs]
         payloads = [
-            (index, spec, self.retry_policy)
-            for index, spec in enumerate(prepared)
+            (index, self._finalise(spec, context))
+            for index, spec in enumerate(specs)
         ]
         supervised = self.backend
         if not isinstance(supervised, SupervisedBackend):
@@ -463,7 +384,7 @@ class Executor:
             progress = reporter.update
         try:
             if context.store is None:
-                outcomes = supervised.map(_execute_payload, payloads, progress)
+                outcomes = supervised.map(payloads, progress, self.retry_policy)
             else:
                 breaker = StoreCircuitBreaker(context.store)
                 outcomes, misses = cache.partition(
@@ -473,11 +394,11 @@ class Executor:
                 if misses:
                     hits = len(payloads) - len(misses)
                     fresh = supervised.map(
-                        _execute_payload,
                         [miss.payload for miss in misses],
                         None if progress is None else (
                             lambda done: progress(hits + done)
                         ),
+                        self.retry_policy,
                     )
                 outcomes = cache.persist(breaker, misses, fresh, outcomes)
         finally:

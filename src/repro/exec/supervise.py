@@ -1,34 +1,42 @@
-"""Fault-tolerant campaign supervision: the stage that runs every batch.
+"""Fault-tolerant campaign supervision: the one attempt loop.
 
-The retry/quarantine loop of :mod:`repro.exec.executor` protects a
-campaign from flows that *raise*; this module protects it from failure
-modes that an in-process ``except`` can never see:
+:class:`SupervisedBackend` runs every batch, inline or pooled, and is
+the only code that decides what happens after a failed attempt.  A
+worker runs exactly one attempt of one flow and reports back an outcome
+or a failure; the supervisor files the failure, then retries the flow
+or quarantines it.  Every kind of failure draws on one budget,
+``RetryPolicy.max_attempts`` attempts in all, and follows the failure
+taxonomy (:data:`~repro.robustness.campaign.FAILURE_CLASSES`): a
+``deterministic`` failure quarantines at once, a ``transient`` one is
+retried under a fresh seed, and a host-side one reruns the same seed.
+Besides failures a flow *raises*, the loop absorbs the ones an
+in-process ``except`` can never see:
 
 * **worker death** — a spawn worker that segfaults, is OOM-killed, or
   calls ``os._exit`` breaks the whole ``ProcessPoolExecutor``
   (``BrokenProcessPool``) and, unsupervised, loses the entire batch.
-  The :class:`SupervisedBackend` catches the break, rebuilds the pool,
-  and pins the blame inside its one pool loop.  A break with a single
-  flow in flight names the killer outright.  With several in flight
-  nobody knows whose worker died, so every one of them is rolled back
-  to the front of the queue and submission is capped at one in-flight
-  flow until each of these suspects has finished or failed: the next
-  break then has exactly one flow in flight, and that flow **is** the
-  killer.  The killer gets a :class:`~repro.robustness.campaign.FlowFailure`
-  with the ``worker_crash`` failure class and is retried; innocent
-  bystanders are re-run without any failure record.
+  The supervisor catches the break, rebuilds the pool, and pins the
+  blame.  A break with a single flow in flight names the killer
+  outright.  With several in flight nobody knows whose worker died, so
+  every one of them is rolled back to the front of the queue and
+  submission is capped at one in-flight flow until each of these
+  suspects has finished or failed: the next break then has exactly one
+  flow in flight, and that flow **is** the killer.  The killer gets a
+  :class:`~repro.robustness.campaign.FlowFailure` with the
+  ``worker_crash`` failure class and is retried; innocent bystanders
+  are re-run without any failure record.
 
 * **hung flows** — the in-simulation :class:`~repro.robustness.watchdog.Watchdog`
   polls between events and cannot fire when the interpreter itself is
-  stuck.  The supervisor enforces ``deadline_s`` from the *parent*: a
-  future that outlives its deadline gets its worker killed, a
-  ``deadline``-class failure recorded, and a retry.
+  stuck.  The supervisor enforces ``deadline_s`` on each attempt from
+  the *parent*: an attempt that outlives its deadline gets its worker
+  killed, a ``deadline``-class failure recorded, and a retry.
 
 * **signals** — SIGINT/SIGTERM trigger a graceful drain instead of
   tearing the process down mid-write: submission stops, in-flight
   flows get ``grace_s`` to finish, completed results flow back to the
   caller (and through it into any ambient
-  :class:`~repro.store.ResultStore`), and unrun specs come back as
+  :class:`~repro.store.ResultStore`), and unfinished specs come back as
   ``skipped`` outcomes so the
   :class:`~repro.robustness.campaign.CampaignReport` is marked
   ``interrupted`` — a re-run against the same store executes exactly
@@ -61,10 +69,17 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import repro.exec.executor as executor
 from repro.exec.chaos import ChaosPlan
 from repro.exec.executor import FlowOutcome, ProcessPoolBackend, SerialBackend
-from repro.robustness.campaign import FlowFailure, QuarantineRecord, RetryPolicy
-from repro.util.errors import ConfigurationError
+from repro.exec.spec import FlowSpec
+from repro.robustness.campaign import (
+    FlowFailure,
+    QuarantineRecord,
+    RetryPolicy,
+    classify,
+)
+from repro.util.errors import ChaosError, ConfigurationError
 
 __all__ = [
     "SupervisedBackend",
@@ -82,12 +97,15 @@ _CRASH_EXIT_STATUS = 71  # EX_OSERR: "system error" in sysexits.h
 class SupervisorPolicy:
     """How hard the supervision layer fights for a campaign.
 
-    ``deadline_s`` is the parent-enforced per-flow wall-clock limit
-    (``None`` disables preemption).  Its clock starts when the parent
-    submits the flow to the pool, not when the flow starts in the
-    worker, so it also counts spawn-worker start-up and imports; a
-    deadline shorter than that preempts healthy flows (ROADMAP item 6
-    moves the start into the worker).  ``max_worker_restarts`` caps how
+    ``deadline_s`` is the parent-enforced wall-clock limit on one
+    attempt of a flow (``None`` disables preemption); a killed attempt
+    is a ``deadline`` failure and draws on the flow's one attempt
+    budget (:class:`~repro.robustness.campaign.RetryPolicy`) like any
+    other.  Its clock starts when the parent submits the attempt to the
+    pool, not when the attempt starts in the worker, so it also counts
+    spawn-worker start-up and imports; a deadline shorter than that
+    preempts healthy flows (ROADMAP item 6 moves the start into the
+    worker).  ``max_worker_restarts`` caps how
     many times the worker pool may be rebuilt after crashes and
     preemptions before the supervisor gives up on the remainder;
     ``grace_s`` is how long a signal drain waits for in-flight flows
@@ -199,45 +217,56 @@ class _DrainGuard:
         self._restore()
 
 
-def _supervised_call(fn: Callable, payload: object, action: Optional[Tuple]):
-    """Worker-side trampoline: run one payload, chaos action first.
+def _failure(error: BaseException) -> Tuple[str, str, str]:
+    """A failed attempt as plain data: ``(error_type, message, class)``."""
+    return type(error).__name__, str(error), classify(error)
 
-    Module-level so the spawn pool can pickle it.  ``action`` is a
-    plain tuple (picklable, no chaos-module import needed in workers):
-    ``("crash",)`` kills the worker the way a segfault would,
-    ``("hang", seconds)`` wedges it past any deadline, and
-    ``("raise", message)`` throws an injected exception.
+
+def _attempt(
+    index: int, spec: FlowSpec, attempt_spec: FlowSpec, action: Optional[Tuple]
+):
+    """Worker side of one attempt: the chaos action, then one simulation.
+
+    Module-level so the spawn pool can pickle it; inline runs call it
+    too.  ``action`` is a plain tuple (picklable, no chaos-module import
+    needed in workers): ``("crash",)`` kills the worker the way a
+    segfault would, ``("hang", seconds)`` wedges it past any deadline,
+    and ``("raise", message)`` fails the attempt with an injected
+    :class:`~repro.util.errors.ChaosError`.  ``simulate_spec`` is looked
+    up in :mod:`repro.exec.executor`, where tests patch it.
+
+    Returns the :class:`FlowOutcome` (filed under the flow's own
+    ``spec``), or :func:`_failure` of the exception the attempt raised:
+    no exception has to survive pickling.
     """
-    if action is not None:
-        kind = action[0]
-        if kind == "crash":
-            os._exit(_CRASH_EXIT_STATUS)
-        elif kind == "hang":
-            time.sleep(float(action[1]))
-        elif kind == "raise":
-            from repro.util.errors import ChaosError
-
-            raise ChaosError(str(action[1]))
-    return fn(payload)
+    try:
+        if action is not None:
+            kind = action[0]
+            if kind == "crash":
+                os._exit(_CRASH_EXIT_STATUS)
+            elif kind == "hang":
+                time.sleep(float(action[1]))
+            elif kind == "raise":
+                raise ChaosError(str(action[1]))
+        result, trace = executor.simulate_spec(attempt_spec)
+    except Exception as error:  # per-flow isolation: the supervisor decides
+        return _failure(error)
+    return FlowOutcome(index=index, spec=spec, result=result, trace=trace)
 
 
 @dataclass(eq=False)
 class _Tracked:
-    """Supervisor-side state of one payload across executions."""
+    """Supervisor-side state of one flow across its attempts."""
 
     position: int
-    payload: Tuple
+    index: int
+    spec: FlowSpec
+    #: what the next attempt runs: ``spec`` itself or a reseeded retry
+    attempt_spec: FlowSpec
+    #: pool submissions that counted (aborts roll back): the chaos index
     executions: int = 0
     started: float = 0.0
     failures: List[FlowFailure] = field(default_factory=list)
-
-    @property
-    def spec(self):
-        return self.payload[1]
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        return self.payload[2]
 
 
 def _by_position(tracked: _Tracked) -> int:
@@ -251,6 +280,7 @@ class _Batch:
     results: List[Optional[FlowOutcome]]
     progress: Optional[Callable[[int], None]]
     drain: _DrainGuard
+    retry: RetryPolicy
     #: flows waiting for a pool slot; failures and aborts requeue at the front
     pending: deque[_Tracked] = field(default_factory=deque)
     done: int = 0
@@ -258,10 +288,7 @@ class _Batch:
     restarts: int = 0
 
     def complete(self, tracked: _Tracked, outcome: FlowOutcome) -> None:
-        """Merge supervisor-level failures into the outcome and file it."""
-        if tracked.failures:
-            outcome.failures = list(tracked.failures) + list(outcome.failures)
-            outcome.attempts += len(tracked.failures)
+        """File a finished flow's outcome at its position."""
         self.results[tracked.position] = outcome
         self.done += 1
         if self.progress is not None:
@@ -276,17 +303,14 @@ class _Batch:
 class SupervisedBackend:
     """Crash-recovering, deadline-enforcing, drain-aware batch runner.
 
-    Runs a batch on a *placement*: the inner backend only says where
-    (serial inline, or a worker pool and its width), while
-    the supervisor owns the pool itself so it can kill and rebuild it.
-    :meth:`map` is the only code that runs a batch, and
-    :meth:`_run_pooled` the only code that submits to a pool — first
-    runs, retries, killer isolation and deadline preemption alike.
-    Failure handling needs the executor payload contract — ``(index,
-    FlowSpec, RetryPolicy)`` tuples mapped over a picklable function —
-    which is exactly what :class:`~repro.exec.executor.Executor`
-    submits; a batch that never fails may map any items (picklable when
-    pooled).
+    Runs a batch of ``(index, FlowSpec)`` payloads on a *placement*:
+    the inner backend only says where (serial inline, or a worker pool
+    and its width), while the supervisor owns the pool itself so it can
+    kill and rebuild it.  :meth:`map` is the only code that runs a
+    batch, :meth:`_record` the only code that decides what follows a
+    failed attempt, and :meth:`_run_pooled` the only code that submits
+    to a pool — first runs, retries, killer isolation and deadline
+    preemption alike.
 
     A set ``deadline_s`` or a chaos schedule forces the whole batch
     into a pool even for a serial or ``auto`` placement (auto then
@@ -318,37 +342,49 @@ class SupervisedBackend:
 
     def map(
         self,
-        fn: Callable,
-        items: Sequence,
+        items: Sequence[Tuple[int, FlowSpec]],
         progress: Optional[Callable[[int], None]] = None,
-    ) -> List:
-        items = list(items)
+        retry_policy: Optional[RetryPolicy] = None,
+    ) -> List[FlowOutcome]:
+        """Run every ``(index, spec)`` payload to an outcome, in order.
+
+        Each flow gets at most ``retry_policy.max_attempts`` attempts
+        (default :class:`~repro.robustness.campaign.RetryPolicy`);
+        ``progress`` is called with the running count of finished flows.
+        """
         self.last_interrupted = False
         tracked = [
-            _Tracked(position=position, payload=payload)
-            for position, payload in enumerate(items)
+            _Tracked(position=position, index=index, spec=spec, attempt_spec=spec)
+            for position, (index, spec) in enumerate(items)
         ]
+        retry = retry_policy if retry_policy is not None else RetryPolicy()
         with _DrainGuard(self.policy.drain_signals) as drain:
-            batch = _Batch([None] * len(items), progress, drain)
-            workers, use_pool = self._mode(fn, items, tracked, batch)
+            batch = _Batch([None] * len(tracked), progress, drain, retry)
+            workers, use_pool = self._mode(tracked, batch)
             remaining = [t for t in tracked if batch.results[t.position] is None]
             if use_pool and remaining:
-                self._run_pooled(fn, remaining, workers, batch)
+                self._run_pooled(remaining, workers, batch)
             else:
-                for flow in remaining:
-                    self._run_one_inline(fn, flow, batch)
-        # Whatever never ran (signal drain) comes back as a skipped
+                self._run_inline(remaining, batch)
+        # Whatever never finished (signal drain) comes back as a skipped
         # placeholder: present, ordered, but excluded from accounting.
         results = batch.results
-        for position, payload in enumerate(items):
-            if results[position] is None:
-                results[position] = self._skipped_outcome(position, payload)
+        for flow in tracked:
+            if results[flow.position] is None:
+                results[flow.position] = FlowOutcome(
+                    index=flow.index,
+                    spec=flow.spec,
+                    result=None,
+                    trace=None,
+                    attempts=0,
+                    skipped=True,
+                )
                 self.last_interrupted = True
         return results
 
     # -- mode selection ------------------------------------------------
 
-    def _mode(self, fn, items, tracked, batch) -> Tuple[int, bool]:
+    def _mode(self, tracked, batch) -> Tuple[int, bool]:
         """(workers, use_pool) for this batch, honouring the placement.
 
         An ``auto`` pool placement still gets its serial probe when
@@ -366,25 +402,25 @@ class SupervisedBackend:
             # or chaos forces a process boundary.
             return 1, forced
         if not inner.auto:
-            workers = min(inner.workers, max(len(items), 1))
+            workers = min(inner.workers, max(len(tracked), 1))
             return workers, workers > 1 or forced
         if forced:
             # An inline probe would run its flows beyond the deadline's
             # and the chaos schedule's reach.
-            return self._forced_pool(inner, len(items)), True
-        return self._probe(fn, inner, tracked, batch)
+            return self._forced_pool(inner, len(tracked)), True
+        return self._probe(inner, tracked, batch)
 
     def _probe(
-        self, fn, placement: ProcessPoolBackend, tracked, batch: _Batch
+        self, placement: ProcessPoolBackend, tracked, batch: _Batch
     ) -> Tuple[int, bool]:
         """Run an ``auto`` placement's serial probe and decide.
 
-        The first :data:`PROBE_ITEMS` flows run inline (their outcomes
-        are filed like any other); the measured per-item cost projects
-        the serial finish time for the remainder, which is compared
-        against a conservative estimate of the pool path (spawn +
-        per-worker startup, amortised execution).  Returns ``(workers,
-        use_pool)`` for the remainder; the decision lands on
+        The first :data:`PROBE_ITEMS` flows run inline, retries included
+        (their outcomes are filed like any other); the measured per-item
+        cost projects the serial finish time for the remainder, which is
+        compared against a conservative estimate of the pool path
+        (spawn + per-worker startup, amortised execution).  Returns
+        ``(workers, use_pool)`` for the remainder; the decision lands on
         ``placement.last_decision``.
         """
         items = len(tracked)
@@ -404,8 +440,7 @@ class SupervisedBackend:
             return 1, False
 
         start = time.perf_counter()
-        for flow in tracked[: self.PROBE_ITEMS]:
-            self._run_one_inline(fn, flow, batch)
+        self._run_inline(tracked[: self.PROBE_ITEMS], batch)
         probe_s = time.perf_counter() - start
         per_item_s = probe_s / self.PROBE_ITEMS
         serial_estimate_s = per_item_s * remainder
@@ -449,19 +484,27 @@ class SupervisedBackend:
 
     # -- inline execution ----------------------------------------------
 
-    def _run_one_inline(
-        self, fn, tracked: _Tracked, batch: _Batch
-    ) -> Optional[FlowOutcome]:
-        if batch.drain.tripped:
-            return None
-        tracked.executions += 1
-        outcome = fn(tracked.payload)
-        batch.complete(tracked, outcome)
-        return outcome
+    def _run_inline(self, flows: Sequence[_Tracked], batch: _Batch) -> None:
+        """Run ``flows`` in this process until each is finished.
+
+        A failed attempt is requeued at the front, so a flow's retries
+        run before the next flow starts.  A drain leaves the rest
+        unrun: :meth:`map` marks them skipped.
+        """
+        pending = batch.pending
+        pending.extend(flows)
+        while pending and not batch.drain.tripped:
+            tracked = pending.popleft()
+            self._file(
+                tracked,
+                _attempt(tracked.index, tracked.spec, tracked.attempt_spec, None),
+                batch,
+            )
+        pending.clear()
 
     # -- pooled execution ----------------------------------------------
 
-    def _run_pooled(self, fn, remaining, workers, batch: _Batch) -> None:
+    def _run_pooled(self, remaining, workers, batch: _Batch) -> None:
         """The pool loop: submit, wait, file, and recover from kills.
 
         ``suspects`` holds the positions of flows rolled back by a
@@ -499,12 +542,16 @@ class SupervisedBackend:
                     tracked.started = time.monotonic()
                     try:
                         future = pool.submit(
-                            _supervised_call, fn, tracked.payload, action
+                            _attempt,
+                            tracked.index,
+                            tracked.spec,
+                            tracked.attempt_spec,
+                            action,
                         )
                     except BrokenProcessPool:
                         # The pool broke between waits (a worker died
                         # while idle, or its break was detected late).
-                        # This payload never ran: roll it back and let
+                        # This attempt never ran: roll it back and let
                         # the break of the in-flight futures, if any,
                         # sort out the rest.
                         tracked.executions -= 1
@@ -528,17 +575,13 @@ class SupervisedBackend:
                 for future in [f for f in inflight if f in done]:
                     tracked = inflight.pop(future)
                     try:
-                        outcome = future.result()
+                        value = future.result()
                     except BrokenProcessPool:
                         broken.append(tracked)
                         continue
-                    except BaseException as error:  # worker-side raise
-                        self._record(
-                            tracked, type(error).__name__, str(error),
-                            tracked.retry_policy.classify(error), None, batch,
-                        )
-                    else:
-                        batch.complete(tracked, outcome)
+                    except Exception as error:  # the value could not cross
+                        value = _failure(error)
+                    self._file(tracked, value, batch)
                     suspects.discard(tracked.position)
                 if broken:
                     kind = "crash"
@@ -639,22 +682,37 @@ class SupervisedBackend:
                 )
         return True
 
+    def _file(self, tracked: _Tracked, value, batch: _Batch) -> None:
+        """File what one attempt returned: an outcome, or a failure."""
+        if isinstance(value, FlowOutcome):
+            value.failures = tracked.failures
+            value.attempts = len(tracked.failures) + 1
+            batch.complete(tracked, value)
+        else:
+            self._record(tracked, *value, None, batch)
+
     def _record(
         self, tracked, error_type, error, failure_class, note, batch: _Batch
     ) -> None:
-        """File one failed execution, then retry or quarantine the flow.
+        """File one failed attempt, then retry or quarantine the flow.
 
+        The failure's ``attempt`` is the number of the flow's earlier
+        failed attempts and its ``seed`` is the seed this attempt ran.
         ``note`` is the stderr line (without the ``supervise:`` prefix)
-        for failures the worker could not report itself.  Failure
-        classes follow the retry taxonomy: a ``deterministic`` one
-        quarantines at once.
+        for failures the worker could not report itself.  A
+        ``deterministic`` failure, or one that spends the flow's
+        ``max_attempts``, quarantines the flow; otherwise it is
+        requeued at the front — under a fresh seed after a
+        ``transient`` failure, under the same seed after a host-side
+        one (``infrastructure``, ``worker_crash``, ``deadline``).
         """
-        spec = tracked.spec
+        spec, retry = tracked.spec, batch.retry
+        attempt = len(tracked.failures)
         tracked.failures.append(
             FlowFailure(
                 flow_id=spec.flow_id,
-                attempt=tracked.executions - 1,
-                seed=spec.seed,
+                attempt=attempt,
+                seed=tracked.attempt_spec.seed,
                 error_type=error_type,
                 error=error,
                 failure_class=failure_class,
@@ -662,37 +720,40 @@ class SupervisedBackend:
         )
         if note is not None:
             print(f"supervise: {note}", file=sys.stderr, flush=True)
+        last = f"{error_type}: {error}"
         if failure_class == "deterministic":
             self._give_up(
-                tracked, f"deterministic failure: {error_type}: {error}", batch
+                tracked,
+                f"deterministic failure on attempt {attempt}; not retried: {last}",
+                batch,
             )
-        elif len(tracked.failures) >= tracked.retry_policy.max_attempts:
-            last = tracked.failures[-1]
+        elif attempt + 1 >= retry.max_attempts:
             self._give_up(
                 tracked,
-                (
-                    f"supervisor gave up after {len(tracked.failures)} "
-                    f"failed executions; last: {last.error_type}: {last.error}"
-                ),
+                f"all {retry.max_attempts} attempts failed; last: {last}",
                 batch,
             )
         else:
+            if failure_class == "transient":
+                tracked.attempt_spec = spec.for_attempt(
+                    retry.seed_for_attempt(spec.seed, attempt + 1)
+                )
             batch.pending.appendleft(tracked)
 
     def _give_up(self, tracked, reason, batch: _Batch) -> None:
+        """Quarantine one flow: the one place a quarantine is built."""
         spec = tracked.spec
         outcome = FlowOutcome(
-            index=tracked.payload[0],
+            index=tracked.index,
             spec=spec,
             result=None,
             trace=None,
-            failures=list(tracked.failures),
+            failures=tracked.failures,
             quarantine=QuarantineRecord(
                 flow_id=spec.flow_id, seed=spec.seed, reason=reason
             ),
             attempts=max(len(tracked.failures), 1),
         )
-        tracked.failures = []  # already on the outcome; don't double-merge
         batch.complete(tracked, outcome)
 
     def _give_up_all(self, aborted, batch: _Batch) -> None:
@@ -709,18 +770,6 @@ class SupervisedBackend:
         )
         for tracked in unfinished:
             self._give_up(tracked, reason, batch)
-
-    @staticmethod
-    def _skipped_outcome(position: int, payload: Tuple) -> FlowOutcome:
-        index, spec, _policy = payload
-        return FlowOutcome(
-            index=index,
-            spec=spec,
-            result=None,
-            trace=None,
-            attempts=0,
-            skipped=True,
-        )
 
     # -- pool plumbing -------------------------------------------------
 
@@ -768,11 +817,11 @@ class SupervisedBackend:
         for future in done:
             tracked = inflight.pop(future)
             try:
-                outcome = future.result()
+                value = future.result()
             except BaseException:
                 tracked.executions -= 1  # lost to the drain, not failed
             else:
-                batch.complete(tracked, outcome)
+                self._file(tracked, value, batch)
         for future in not_done:
             tracked = inflight.pop(future)
             tracked.executions -= 1  # preempted by the drain, not failed

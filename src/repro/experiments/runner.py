@@ -23,7 +23,7 @@ Robustness controls (see README "Robustness & fault injection"):
   :class:`~repro.robustness.faults.FaultPlan` for campaign-based
   experiments — the resilience smoke path;
 * ``--deadline-s`` / ``--max-worker-restarts`` configure the campaign
-  supervision layer (parent-enforced per-flow wall-clock preemption
+  supervision layer (parent-enforced per-attempt wall-clock preemption
   and the worker-crash restart budget; see EXPERIMENTS.md);
 * SIGINT/SIGTERM during a campaign drain gracefully: in-flight flows
   finish, completed results flush to the store, the report is marked
@@ -155,10 +155,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "campaign experiments (default 0 = off)")
     parser.add_argument(
         "--deadline-s", type=float, default=0.0, metavar="S",
-        help="parent-enforced per-flow wall-clock deadline: a flow "
-             "still running S seconds after it was submitted to the "
-             "pool has its worker killed, the preemption recorded, and "
-             "the flow retried — catches hangs the in-process watchdog "
+        help="parent-enforced wall-clock deadline on each attempt of "
+             "a flow: an attempt still running S seconds after it was "
+             "submitted to the pool has its worker killed, the preemption "
+             "recorded, and the flow retried within its attempt budget — "
+             "catches hangs the in-process watchdog "
              "cannot see.  The clock starts at submit, so it includes "
              "worker start-up (ROADMAP item 6): keep S above the spawn "
              "time (default 0 = off)")

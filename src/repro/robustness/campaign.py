@@ -4,9 +4,12 @@ The paper's dataset (Table I) was collected under hostile radio
 conditions where individual flows fail routinely; a campaign that
 aborts on the first bad flow loses everything collected so far.  This
 module holds the *accounting* side of per-flow isolation — the
-:class:`RetryPolicy` that derives deterministic retry seeds and the
-:class:`CampaignReport` the generator returns alongside the partial
-dataset — while :mod:`repro.traces.generator` holds the execution loop.
+:class:`RetryPolicy` that sets the attempt budget and derives
+deterministic retry seeds, the failure taxonomy (:func:`classify`), and
+the :class:`CampaignReport` a campaign returns alongside its partial
+dataset — while the supervisor's attempt loop
+(:class:`~repro.exec.supervise.SupervisedBackend`) decides what happens
+after every failed attempt.
 
 Everything here is deliberately wall-clock-free: two campaign runs with
 the same root seed produce byte-identical reports
@@ -33,6 +36,7 @@ __all__ = [
     "FlowFailure",
     "QuarantineRecord",
     "RetryPolicy",
+    "classify",
 ]
 
 #: The failure taxonomy the retry layer reasons over.
@@ -41,7 +45,7 @@ __all__ = [
 #:   validation rejects); a reseeded retry genuinely rolls new dice.
 #: * ``deterministic`` — same spec, same crash (bad configuration,
 #:   a sim bug the seed reproduces exactly); retrying burns budget for
-#:   nothing, so these quarantine on attempt 0.
+#:   nothing, so these quarantine at once.
 #: * ``infrastructure`` — the *host* failed, not the flow (worker
 #:   process death, deadline preemption, disk errors); the same seed is
 #:   retried because the simulation itself was never at fault.
@@ -75,7 +79,7 @@ class QuarantineRecord:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How many times a failed flow is retried, and with which seeds.
+    """How many attempts a flow gets, and with which seeds.
 
     Retry seeds are derived from the flow's base seed with the same
     SplitMix64 path scheme the rest of the library uses, so they are
@@ -83,43 +87,22 @@ class RetryPolicy:
     how many *other* flows failed — the property behind byte-identical
     reports under retries.
 
-    Retries are taxonomy-aware (:data:`FAILURE_CLASSES`):
-    ``deterministic`` failures are quarantined on attempt 0 instead of
-    being pointlessly re-run, while ``transient`` and
-    ``infrastructure`` failures consume the retry budget, and a flow's
-    retry runs at once.
-
-    The backoff fields set the remote-store transport's retry schedule
-    (:class:`~repro.store.remote.RemoteStore`): deterministic
-    exponential backoff with seeded jitter (:meth:`backoff_for_attempt`),
-    a pure function of the seed, so two clients back off identically.
+    ``max_attempts`` is one budget for every kind of failure: raises,
+    worker crashes and deadline kills all count against it.  Retries
+    are taxonomy-aware (:data:`FAILURE_CLASSES`): a ``deterministic``
+    failure is quarantined at once instead of being pointlessly re-run,
+    a ``transient`` one is retried under a fresh seed, and a host-side
+    one (``infrastructure``, ``worker_crash``, ``deadline``) reruns the
+    same seed.  A retry runs at once: a reseeded simulation gains
+    nothing from waiting.
     """
 
     max_retries: int = 2
-    #: seconds slept before retry attempt 1; attempt ``n`` waits
-    #: ``backoff_base_s * backoff_factor ** (n - 1)`` (0 = no backoff)
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    #: fraction of the backoff added as seeded jitter (decorrelates
-    #: retry bursts across clients without breaking determinism)
-    backoff_jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base_s < 0.0:
-            raise ConfigurationError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ConfigurationError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
             )
 
     @property
@@ -132,44 +115,23 @@ class RetryPolicy:
             return base_seed
         return derive_seed(base_seed, "retry", attempt) & 0x7FFFFFFF
 
-    def classify(self, error: BaseException) -> str:
-        """Taxonomy bucket for one failure (:data:`FAILURE_CLASSES`).
 
-        ``ConfigurationError`` is deterministic by construction — the
-        same spec produces the same crash on every attempt, so retrying
-        it is pure waste.  Host-side failures (worker death, deadline
-        preemption, I/O errors) are infrastructure: the same seed runs
-        again because the *flow* was never at fault.  Everything else —
-        simulation blow-ups, budget trips, validation rejects — is
-        transient: a reseeded retry genuinely rolls new dice.
-        """
-        if isinstance(error, ConfigurationError):
-            return "deterministic"
-        if isinstance(error, (WorkerCrashError, DeadlineExceededError, OSError)):
-            return "infrastructure"
-        return "transient"
+def classify(error: BaseException) -> str:
+    """Taxonomy bucket for one failure (:data:`FAILURE_CLASSES`).
 
-    def retries(self, failure_class: str) -> bool:
-        """Whether a failure of this class consumes retry budget at all."""
-        return failure_class != "deterministic"
-
-    def backoff_for_attempt(self, base_seed: int, attempt: int) -> float:
-        """Deterministic pre-attempt sleep (seconds) with seeded jitter.
-
-        Attempt 0 never waits; attempt ``n`` waits the exponential base
-        plus a jitter fraction drawn from the flow's own seed — a pure
-        function of ``(base_seed, attempt)``, so reports and timing
-        behaviour replay identically.
-        """
-        if attempt <= 0 or self.backoff_base_s <= 0.0:
-            return 0.0
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        if self.backoff_jitter <= 0.0:
-            return base
-        # 53-bit uniform in [0, 1) from the same SplitMix64 derivation
-        # the retry seeds use; no RNG object, no global state.
-        unit = (derive_seed(base_seed, "backoff", attempt) >> 11) / float(1 << 53)
-        return base * (1.0 + self.backoff_jitter * unit)
+    ``ConfigurationError`` is deterministic by construction — the same
+    spec produces the same crash on every attempt, so retrying it is
+    pure waste.  Host-side failures (worker death, deadline preemption,
+    I/O errors) are infrastructure: the same seed runs again because the
+    *flow* was never at fault.  Everything else — simulation blow-ups,
+    budget trips, validation rejects, injected chaos raises — is
+    transient: a reseeded retry genuinely rolls new dice.
+    """
+    if isinstance(error, ConfigurationError):
+        return "deterministic"
+    if isinstance(error, (WorkerCrashError, DeadlineExceededError, OSError)):
+        return "infrastructure"
+    return "transient"
 
 
 @dataclass

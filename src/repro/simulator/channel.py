@@ -43,13 +43,10 @@ from __future__ import annotations
 from math import log as _log
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngStream
-
-try:  # optional acceleration for whole-block comparisons
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    _np = None
 
 __all__ = [
     "LossModel",
@@ -98,7 +95,7 @@ class _BufferedLoss(LossModel):
     Models whose per-packet probability is a *fixed* value in (0, 1)
     (Bernoulli loss, the round-correlated trigger) set ``_fixed_rate``;
     every refill then precomputes the whole block's Bernoulli outcomes
-    in one pass (vectorised through numpy when available), so the
+    in one vectorised numpy pass, so the
     per-packet cost collapses to a list index, read inline by each
     model's ``is_lost``.  The raw-uniform cursor
     and the outcome cursor are the same cursor — mixed consumption
@@ -123,10 +120,7 @@ class _BufferedLoss(LossModel):
         block = self._block = self._rng.random_block(_UNIFORM_BLOCK)
         rate = self._fixed_rate
         if rate is not None:
-            if _np is not None:
-                self._outcomes = (_np.frombuffer(block) < rate).tolist()
-            else:
-                self._outcomes = [value < rate for value in block]
+            self._outcomes = (_np.frombuffer(block) < rate).tolist()
         self._cursor = 0
 
     def _next_uniform(self) -> float:

@@ -62,7 +62,7 @@ def partition(
     misses: List[Miss] = []
     hits = 0
     for position, payload in enumerate(payloads):
-        index, spec, _policy = payload
+        index, spec = payload
         try:
             key = flow_key(spec)
         except UnhashableSpecError:

@@ -19,8 +19,8 @@ Two halves, one wire format:
   wherever a store is accepted.  One
   ``HTTPConnection`` is kept per client and reused across requests;
   transient transport failures get bounded retries with seeded-jitter
-  exponential backoff (:class:`~repro.robustness.campaign.RetryPolicy`'s
-  backoff fields), and a request that exhausts its retries raises
+  exponential backoff (:func:`_backoff_s`), and a request that exhausts
+  its retries raises
   :class:`OSError` — exactly the exception
   :class:`~repro.store.breaker.StoreCircuitBreaker` absorbs,
   so a dead server downgrades a campaign to uncached execution instead
@@ -51,7 +51,6 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
-from repro.robustness.campaign import RetryPolicy
 from repro.store.disk import (
     CorruptEntryError,
     ResultStore,
@@ -59,6 +58,7 @@ from repro.store.disk import (
     decode_entry,
     encode_entry,
 )
+from repro.util.rng import derive_seed
 
 __all__ = ["RemoteStore", "StoreServer", "open_store"]
 
@@ -69,7 +69,30 @@ _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 #: 50 ms seeded-jitter exponential backoff.  Deliberately short — the
 #: circuit breaker above this layer handles a server that is *down*;
 #: these retries only smooth over a connection reset or a restart blip.
-_TRANSPORT_RETRY = RetryPolicy(max_retries=2, backoff_base_s=0.05)
+_REQUEST_ATTEMPTS = 3
+#: seconds slept before retry 1; retry ``n`` waits
+#: ``_BACKOFF_BASE_S * _BACKOFF_FACTOR ** (n - 1)`` plus jitter
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_FACTOR = 2.0
+#: fraction of the backoff added as seeded jitter (decorrelates retry
+#: bursts across clients without breaking determinism)
+_BACKOFF_JITTER = 0.1
+
+
+def _backoff_s(seed: int, attempt: int) -> float:
+    """Deterministic sleep (seconds) before ``attempt``, with seeded jitter.
+
+    Attempt 0 never waits; attempt ``n`` waits the exponential base plus
+    a jitter fraction drawn from ``seed`` — a pure function of
+    ``(seed, attempt)``, so two clients back off identically.
+    """
+    if attempt <= 0:
+        return 0.0
+    base = _BACKOFF_BASE_S * _BACKOFF_FACTOR ** (attempt - 1)
+    # 53-bit uniform in [0, 1) from a SplitMix64 derivation; no RNG
+    # object, no global state.
+    unit = (derive_seed(seed, "backoff", attempt) >> 11) / float(1 << 53)
+    return base * (1.0 + _BACKOFF_JITTER * unit)
 
 
 class _QuietThreadingHTTPServer(ThreadingHTTPServer):
@@ -107,7 +130,7 @@ class _Transport:
         url: str,
         *,
         timeout_s: float = 10.0,
-        retry_policy: RetryPolicy = _TRANSPORT_RETRY,
+        attempts: int = _REQUEST_ATTEMPTS,
     ) -> None:
         parts = urlsplit(url)
         if parts.scheme != "http" or not parts.hostname:
@@ -116,7 +139,7 @@ class _Transport:
         self.host = parts.hostname
         self.port = parts.port or 80
         self.timeout_s = timeout_s
-        self.retry_policy = retry_policy
+        self.attempts = attempts
         self._conn: Optional[http.client.HTTPConnection] = None
 
     # A client crossing a process boundary must not drag a socket along.
@@ -146,15 +169,15 @@ class _Transport:
         """``(status, body)`` with connection reuse and bounded retries.
 
         Retries cover transport-level failures and 5xx responses; the
-        backoff schedule is :meth:`RetryPolicy.backoff_for_attempt`
-        seeded per key, so a thousand workers hammering a restarting
-        server do not retry in lockstep.  4xx responses are returned to
-        the caller — the request is wrong, not the wire.
+        backoff schedule is :func:`_backoff_s` seeded per key, so a
+        thousand workers hammering a restarting server do not retry in
+        lockstep.  4xx responses are returned to the caller — the
+        request is wrong, not the wire.
         """
         last_error: Optional[Exception] = None
-        for attempt in range(self.retry_policy.max_attempts):
+        for attempt in range(self.attempts):
             if attempt:
-                time.sleep(self.retry_policy.backoff_for_attempt(seed, attempt))
+                time.sleep(_backoff_s(seed, attempt))
             try:
                 conn = self._connection()
                 conn.request(method, path, body=body)
@@ -171,8 +194,8 @@ class _Transport:
                 continue
             return response.status, payload
         raise OSError(
-            f"{self.url} unreachable after "
-            f"{self.retry_policy.max_attempts} attempts: {last_error}"
+            f"{self.url} unreachable after {self.attempts} attempts: "
+            f"{last_error}"
         )
 
     def request_json(self, method: str, path: str) -> Dict[str, object]:
@@ -364,16 +387,8 @@ class RemoteStore:
     exactly like one pointed at a dead disk.
     """
 
-    def __init__(
-        self,
-        url: str,
-        *,
-        timeout_s: float = 10.0,
-        retry_policy: RetryPolicy = _TRANSPORT_RETRY,
-    ) -> None:
-        self._transport = _Transport(
-            url, timeout_s=timeout_s, retry_policy=retry_policy
-        )
+    def __init__(self, url: str, *, timeout_s: float = 10.0) -> None:
+        self._transport = _Transport(url, timeout_s=timeout_s)
         self.url = self._transport.url
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -445,9 +460,7 @@ class RemoteStore:
     def healthy(self) -> bool:
         """One non-retried probe; False instead of raising."""
         probe = _Transport(
-            self.url,
-            timeout_s=self._transport.timeout_s,
-            retry_policy=RetryPolicy(max_retries=0),
+            self.url, timeout_s=self._transport.timeout_s, attempts=1
         )
         try:
             return probe.request("GET", "/healthz")[0] == 200

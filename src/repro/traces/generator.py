@@ -18,9 +18,9 @@ a :class:`~repro.exec.FlowSpec` (seeded statelessly per flow index, so
 failures never perturb the seeds of the remaining flows) and the batch
 runs on an :class:`~repro.exec.Executor` — serially by default, or
 across ``workers`` processes with byte-identical traces and report.
-The executor supplies the resilience: failed flows are retried with
-deterministically reseeded attempts and quarantined (recorded, skipped)
-when persistent, and every run returns a
+The executor's supervisor supplies the resilience: failed flows are
+retried with deterministically reseeded attempts and quarantined
+(recorded, skipped) when persistent, and every run returns a
 :class:`~repro.robustness.campaign.CampaignReport` on the dataset's
 ``report`` field — one bad flow can no longer abort a multi-hour
 campaign or silently poison its statistics.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from repro.context import current_run_context, run_context
+from repro.context import current_run_context
 from repro.exec.executor import Executor
 from repro.exec.spec import FlowSpec
 from repro.hsr.provider import (
@@ -226,7 +226,6 @@ def generate_dataset(
     validate: bool = True,
     workers: Union[int, str] = 1,
     telemetry: Optional[bool] = None,
-    store=None,
     cc: str = "reno",
     cc_params: Optional[object] = None,
 ) -> SyntheticDataset:
@@ -253,7 +252,7 @@ def generate_dataset(
     counts); the default ``None`` collects when the run context carries
     a ``telemetry`` aggregate.
 
-    ``store`` (a :class:`~repro.store.ResultStore` or a directory path)
+    A result store in the run context (``run_context(store=...)``)
     makes the campaign cache-aware and resumable: completed flows are
     persisted under their content keys, reruns serve them from disk
     without simulating, and a campaign killed midway re-executes only
@@ -280,26 +279,13 @@ def generate_dataset(
     executor = Executor.for_workers(
         workers, retry_policy=retry_policy, telemetry=telemetry
     )
-    execution = _run_with_store(executor, specs, store)
+    execution = executor.run(specs)
     return SyntheticDataset(
         traces=execution.traces,
         entries=campaign,
         report=execution.report,
         telemetry=execution.telemetry,
     )
-
-
-def _run_with_store(executor: Executor, specs: List[FlowSpec], store):
-    """Run a batch, cache-wrapping the executor when ``store`` is given.
-
-    An explicit ``store`` argument takes precedence over (and behaves
-    exactly like) the run context's ``store``; ``store=None`` keeps the
-    context's store rather than clearing it.
-    """
-    if store is None:
-        return executor.run(specs)
-    with run_context(store=store):
-        return executor.run(specs)
 
 
 def generate_stationary_reference(
@@ -311,7 +297,6 @@ def generate_stationary_reference(
     validate: bool = True,
     workers: Union[int, str] = 1,
     telemetry: Optional[bool] = None,
-    store=None,
 ) -> SyntheticDataset:
     """A stationary companion campaign (for the Fig.-3/6 comparisons)."""
     if duration <= 0.0:
@@ -339,7 +324,7 @@ def generate_stationary_reference(
     executor = Executor.for_workers(
         workers, retry_policy=retry_policy, telemetry=telemetry
     )
-    execution = _run_with_store(executor, specs, store)
+    execution = executor.run(specs)
     return SyntheticDataset(
         traces=execution.traces,
         entries=entries,

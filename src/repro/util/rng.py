@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 __all__ = ["RngStream", "spawn_streams", "derive_seed"]
 
@@ -64,9 +64,6 @@ class RngStream:
         self.seed = int(seed)
         self.name = name
         self._random = random.Random(self.seed)
-        #: preallocated per-size ``array('d')`` buffers reused by the
-        #: ``*_block`` methods (one float buffer per distinct block size)
-        self._block_buffers: Dict[int, array] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(name={self.name!r}, seed={self.seed})"
@@ -94,36 +91,18 @@ class RngStream:
     # Batched draws are element-for-element identical to the scalar
     # methods above: random_block(n) yields exactly the values n
     # successive random() calls would, and lognormal_block(n) replays
-    # lognormal()'s rejection loop with the same arithmetic.
-    #
-    # Buffer contract: the float-block methods fill and return a
-    # *preallocated* ``array('d')`` owned by this stream (one buffer per
-    # block size), so a refill loop allocates no fresh list per call.
-    # The returned buffer is overwritten by the next same-size call on
-    # the same stream — copy it if it must survive.  Hot consumers
-    # (``repro.simulator.channel._BufferedLoss``) replace their
-    # reference on every refill, which is exactly this contract.
-
-    def _checked_block(self, n: int) -> array:
-        """Validate ``n`` once and return this stream's reusable buffer."""
-        if n < 0:
-            raise ValueError(f"block size must be >= 0, got {n}")
-        buffers = self._block_buffers
-        buffer = buffers.get(n)
-        if buffer is None:
-            buffer = buffers[n] = array("d", bytes(8 * n))
-        return buffer
+    # lognormal()'s rejection loop with the same arithmetic.  Each call
+    # returns a fresh ``array('d')``.
 
     def random_block(self, n: int) -> Sequence[float]:
         """Draw ``n`` uniforms from ``[0, 1)`` in one Python-level call.
 
-        Identical values, in order, to ``n`` calls of :meth:`random`,
-        returned in the stream's preallocated ``array('d')`` buffer.
+        Identical values, in order, to ``n`` calls of :meth:`random`.
         """
-        buffer = self._checked_block(n)
+        if n < 0:
+            raise ValueError(f"block size must be >= 0, got {n}")
         random = self._random.random
-        buffer[:] = array("d", [random() for _ in range(n)])
-        return buffer
+        return array("d", [random() for _ in range(n)])
 
     def lognormal_block(self, mu: float, sigma: float, n: int) -> Sequence[float]:
         """``n`` log-normal draws, identical to ``n`` :meth:`lognormal` calls.
@@ -132,10 +111,10 @@ class RngStream:
         (``random.Random.normalvariate``) bit for bit — same draws
         consumed, same accept condition, same arithmetic — then
         exponentiates, so batching the per-packet jitter stream cannot
-        change a single delivery time.  Returned in the stream's
-        preallocated ``array('d')`` buffer.
+        change a single delivery time.
         """
-        buffer = self._checked_block(n)
+        if n < 0:
+            raise ValueError(f"block size must be >= 0, got {n}")
         random = self._random.random
         log = math.log
         exp = math.exp
@@ -150,8 +129,7 @@ class RngStream:
                 if z * z / 4.0 <= -log(u2):
                     break
             append(exp(mu + z * sigma))
-        buffer[:] = array("d", values)
-        return buffer
+        return array("d", values)
 
     def randint(self, low: int, high: int) -> int:
         """Draw an integer uniformly from ``[low, high]`` inclusive."""

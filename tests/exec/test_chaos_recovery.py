@@ -16,7 +16,9 @@ from repro.exec.chaos import ChaosPlan
 from repro.exec.spec import FlowSpec
 from repro.exec.supervise import SupervisedBackend, SupervisorPolicy
 from repro.robustness.campaign import RetryPolicy
+from repro.robustness.watchdog import Watchdog
 from repro.simulator.connection import ConnectionConfig
+from repro.traces.events import FlowMetadata
 
 
 def spec(seed=0, flow_id="flow", duration=2.0):
@@ -97,7 +99,11 @@ class TestCrashRecovery:
         assert all(f.failure_class == "worker_crash" for f in report.failures)
         (record,) = report.quarantines
         assert record.flow_id == "f/0"
-        assert "gave up after 3 failed executions" in record.reason
+        assert record.reason == (
+            "all 3 attempts failed; last: WorkerCrashError: worker process "
+            "died while running this flow (exit status 71 or signal); "
+            "pool rebuilt"
+        )
         victim = result.outcomes[0]
         assert not victim.ok and victim.attempts == 3
 
@@ -139,6 +145,34 @@ class TestCrashRecovery:
         )
 
 
+class TestMixedFailures:
+    def test_crashes_and_raises_share_one_budget(self):
+        # Two worker crashes, then a watchdog trip on every attempt: the
+        # three failures spend one three-attempt budget between them and
+        # are numbered 0..2.  Crashes rerun the seed that crashed.
+        plan = ChaosPlan(crash={"f/0": (0, 1)})
+        backend = chaotic(plan, ProcessPoolBackend(1))
+        tripping = spec(seed=30, flow_id="f/0").with_(
+            watchdog=Watchdog(max_events=10)
+        )
+        result = Executor(
+            backend=backend, retry_policy=RetryPolicy(max_retries=2)
+        ).run([tripping])
+        report = result.report
+        (victim,) = result.outcomes
+        assert victim.attempts == 3
+        assert report.retried == 2
+        assert [f.attempt for f in report.failures] == [0, 1, 2]
+        assert [f.failure_class for f in report.failures] == [
+            "worker_crash", "worker_crash", "transient",
+        ]
+        assert [f.seed for f in report.failures] == [30, 30, 30]
+        assert report.quarantined == 1 and not victim.ok
+        assert report.quarantines[0].reason.startswith(
+            "all 3 attempts failed; last: BudgetExceededError: "
+        )
+
+
 class TestInjectedRaise:
     def test_raise_is_classified_and_retried(self):
         plan = ChaosPlan(raise_={"f/1": (0,)})
@@ -151,6 +185,22 @@ class TestInjectedRaise:
         assert failure.error_type == "ChaosError"
         assert failure.failure_class == "transient"
         assert "chaos-injected failure" in failure.error
+
+    def test_raise_is_retried_under_a_fresh_seed(self):
+        # A chaos raise is transient, so its retry rolls new dice; the
+        # trace records the seed that produced it.
+        metadata = FlowMetadata(
+            flow_id="f/0", provider="CM", technology="LTE", scenario="hsr",
+            capture_month="2015-01", phone_model="Note 3", duration=2.0,
+            seed=30,
+        )
+        flow = spec(seed=30, flow_id="f/0").with_(metadata=metadata)
+        plan = ChaosPlan(raise_={"f/0": (0,)})
+        result = Executor(backend=chaotic(plan, SerialBackend())).run([flow])
+        (failure,) = result.report.failures
+        assert (failure.attempt, failure.seed) == (0, 30)
+        (trace,) = result.traces
+        assert trace.metadata.seed == RetryPolicy().seed_for_attempt(30, 1)
 
     def test_serial_inner_is_forced_into_a_pool(self):
         # raise actions only exist in the worker-side trampoline, so a

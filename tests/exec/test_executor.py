@@ -51,11 +51,20 @@ class TestBackendSelection:
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(0)
 
-    def test_pool_with_one_worker_runs_inline(self):
-        # No pool is spun up, so results come back regardless of pickling.
+    def test_pool_with_one_worker_runs_inline(self, monkeypatch):
+        # No pool is spun up: a patch of this process's simulate_spec
+        # sees every flow.
+        seen = []
+
+        def counting(sim_spec):
+            seen.append(sim_spec.flow_id)
+            return simulate_spec(sim_spec)
+
+        monkeypatch.setattr(executor_module, "simulate_spec", counting)
         placement = ProcessPoolBackend(1)
-        outcome = SupervisedBackend(placement).map(lambda x: x * 2, [1, 2, 3])
-        assert outcome == [2, 4, 6]
+        outcomes = SupervisedBackend(placement).map(_payloads(3))
+        assert seen == ["p/0", "p/1", "p/2"]
+        assert all(outcome.ok for outcome in outcomes)
 
 
 class TestExecutorRun:
@@ -150,9 +159,8 @@ class TestAmbientWatchdog:
         assert execution.outcomes[0].spec.watchdog == mine
 
 
-def _double(x):
-    # Module-level so the pool path can pickle it.
-    return x * 2
+def _payloads(n):
+    return [(i, spec(seed=i, flow_id=f"p/{i}")) for i in range(n)]
 
 
 class TestAutoBackend:
@@ -174,20 +182,21 @@ class TestAutoBackend:
 
     def test_small_batch_stays_serial_and_records_decision(self):
         backend = ProcessPoolBackend(auto=True)
-        assert SupervisedBackend(backend).map(_double, [1, 2, 3]) == [2, 4, 6]
+        outcomes = SupervisedBackend(backend).map(_payloads(3))
+        assert [outcome.spec.flow_id for outcome in outcomes] == ["p/0", "p/1", "p/2"]
         decision = backend.last_decision
         assert decision["mode"] == "serial"
         assert decision["items"] == 3
         assert decision["cpu_count"] >= 1
 
     def test_cheap_batch_projects_serial(self, monkeypatch):
-        # Pretend the host has cores to spare: a near-zero per-item
-        # cost must still project serial, because the pool's spawn
-        # overhead can never be amortised.
+        # Pretend the host has cores to spare: a cheap per-item cost
+        # (a few ms per 2-s flow) must still project serial, because
+        # the pool's spawn overhead can never be amortised.
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
         backend = ProcessPoolBackend(auto=True)
-        doubled = SupervisedBackend(backend).map(_double, list(range(50)))
-        assert doubled == [x * 2 for x in range(50)]
+        outcomes = SupervisedBackend(backend).map(_payloads(10))
+        assert all(outcome.ok for outcome in outcomes)
         decision = backend.last_decision
         assert decision["mode"] == "serial"
         assert decision["projected_pool_s"] > decision["projected_serial_s"]

@@ -6,6 +6,7 @@ import signal
 
 import pytest
 
+import repro.exec.executor as executor_module
 from repro.context import current_run_context, run_context
 from repro.exec import (
     ChaosPlan,
@@ -17,14 +18,15 @@ from repro.exec import (
     SupervisorPolicy,
     clear_interrupt,
     interrupt_signal,
+    simulate_spec,
 )
-from repro.exec.executor import _execute_payload
 from repro.exec.supervise import _DrainGuard
-from repro.robustness.campaign import RetryPolicy
+from repro.robustness.campaign import RetryPolicy, classify
 from repro.simulator.connection import ConnectionConfig
 from repro.util.errors import (
     ConfigurationError,
     DeadlineExceededError,
+    SimulationError,
     WorkerCrashError,
 )
 
@@ -35,17 +37,8 @@ def spec(seed=0, flow_id="flow", **overrides) -> FlowSpec:
     return FlowSpec(config=ConnectionConfig(**base), seed=seed, flow_id=flow_id)
 
 
-def payloads(n, policy=None):
-    policy = policy if policy is not None else RetryPolicy()
-    return [(i, spec(seed=20 + i, flow_id=f"s/{i}"), policy) for i in range(n)]
-
-
-def _die_on_s1(payload):
-    # Module-level so the spawn pool can pickle it: the worker that
-    # runs flow ``s/1`` dies the way a segfault would, every time.
-    if payload[1].flow_id == "s/1":
-        os._exit(71)
-    return _execute_payload(payload)
+def payloads(n):
+    return [(i, spec(seed=20 + i, flow_id=f"s/{i}")) for i in range(n)]
 
 
 class TestSupervisorPolicy:
@@ -78,70 +71,64 @@ class TestSupervisorPolicy:
 
 class TestRetryTaxonomy:
     def test_classify_buckets(self):
-        policy = RetryPolicy()
-        assert policy.classify(ConfigurationError("bad")) == "deterministic"
-        assert policy.classify(WorkerCrashError("died")) == "infrastructure"
-        assert policy.classify(DeadlineExceededError("slow")) == "infrastructure"
-        assert policy.classify(OSError("disk")) == "infrastructure"
-        assert policy.classify(RuntimeError("flaky")) == "transient"
+        assert classify(ConfigurationError("bad")) == "deterministic"
+        assert classify(WorkerCrashError("died")) == "infrastructure"
+        assert classify(DeadlineExceededError("slow")) == "infrastructure"
+        assert classify(OSError("disk")) == "infrastructure"
+        assert classify(RuntimeError("flaky")) == "transient"
 
-    def test_deterministic_never_retries(self):
-        policy = RetryPolicy()
-        assert not policy.retries("deterministic")
-        assert policy.retries("transient")
-        assert policy.retries("infrastructure")
+    def test_deterministic_never_retries(self, monkeypatch):
+        # With budget to spare, a deterministic failure is attempted
+        # once and a transient one until it succeeds.
+        def failing(sim_spec):
+            if sim_spec.flow_id == "s/0":
+                raise ConfigurationError("bad knob")
+            if sim_spec.seed == 21:  # s/1's base seed
+                raise SimulationError("flaky")
+            return simulate_spec(sim_spec)
+
+        monkeypatch.setattr(executor_module, "simulate_spec", failing)
+        stuck, flaky = SupervisedBackend().map(
+            payloads(2), retry_policy=RetryPolicy(max_retries=3)
+        )
+        assert stuck.attempts == 1 and stuck.quarantine is not None
+        assert flaky.ok and flaky.attempts == 2
 
     def test_configuration_error_quarantines_on_attempt_0(self):
-        # cc variants resolve inside the attempt loop; a bad name is the
+        # cc variants resolve inside the attempt; a bad name is the
         # canonical deterministic failure
         bad = FlowSpec(
             config=ConnectionConfig(duration=2.0), seed=1, cc="no-such-cc"
         )
-        outcome = _execute_payload((0, bad, RetryPolicy(max_retries=3)))
+        (outcome,) = SupervisedBackend().map(
+            [(0, bad)], retry_policy=RetryPolicy(max_retries=3)
+        )
         assert not outcome.ok
         assert outcome.attempts == 1  # attempt 0 only — no retry burn
         assert [f.failure_class for f in outcome.failures] == ["deterministic"]
-        assert "deterministic" in outcome.quarantine.reason
-
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base_s=0.5, backoff_factor=2.0,
-                             backoff_jitter=0.1)
-        first = policy.backoff_for_attempt(123, 1)
-        again = policy.backoff_for_attempt(123, 1)
-        assert first == again  # pure function of (seed, attempt)
-        assert 0.5 <= first <= 0.5 * 1.1
-        second = policy.backoff_for_attempt(123, 2)
-        assert 1.0 <= second <= 1.0 * 1.1
-        assert policy.backoff_for_attempt(123, 0) == 0.0
-        # different seeds decorrelate
-        assert policy.backoff_for_attempt(123, 1) != policy.backoff_for_attempt(999, 1)
-
-    def test_zero_base_never_sleeps(self):
-        policy = RetryPolicy()
-        assert policy.backoff_for_attempt(7, 1) == 0.0
-        assert policy.backoff_for_attempt(7, 5) == 0.0
+        assert outcome.quarantine.reason.startswith(
+            "deterministic failure on attempt 0; not retried: ConfigurationError: "
+        )
 
 
 class TestSupervisedBackendInline:
     def test_serial_inner_byte_identical_to_bare(self):
         batch = payloads(3)
-        bare = [_execute_payload(payload) for payload in batch]
-        supervised = SupervisedBackend(SerialBackend()).map(
-            _execute_payload, batch
-        )
+        bare = [simulate_spec(flow)[0] for _, flow in batch]
+        supervised = SupervisedBackend(SerialBackend()).map(batch)
         assert len(bare) == len(supervised)
-        for a, b in zip(bare, supervised):
-            assert a.spec.flow_id == b.spec.flow_id
-            assert a.result.throughput == b.result.throughput
-            assert a.result.log.data_sent == b.result.log.data_sent
+        for (_, flow), a, b in zip(batch, bare, supervised):
+            assert flow.flow_id == b.spec.flow_id
+            assert a.throughput == b.result.throughput
+            assert a.log.data_sent == b.result.log.data_sent
 
     def test_executor_wraps_by_default(self, monkeypatch):
         seen = []
         real = SupervisedBackend.map
 
-        def spy(self, fn, items, progress=None):
+        def spy(self, *args, **kwargs):
             seen.append((type(self.inner), self.policy))
-            return real(self, fn, items, progress)
+            return real(self, *args, **kwargs)
 
         monkeypatch.setattr(SupervisedBackend, "map", spy)
         Executor().run([spec(seed=1)])
@@ -169,19 +156,15 @@ class TestSupervisedBackendInline:
 
     def test_progress_counts_every_flow(self):
         seen = []
-        SupervisedBackend(SerialBackend()).map(
-            _execute_payload, payloads(3), seen.append
-        )
+        SupervisedBackend(SerialBackend()).map(payloads(3), seen.append)
         assert seen == [1, 2, 3]
 
 
 class TestSupervisedBackendPooled:
     def test_pool_inner_matches_serial_bytes(self):
         batch = payloads(4)
-        serial = SupervisedBackend(SerialBackend()).map(_execute_payload, batch)
-        pooled = SupervisedBackend(ProcessPoolBackend(2)).map(
-            _execute_payload, batch
-        )
+        serial = SupervisedBackend(SerialBackend()).map(batch)
+        pooled = SupervisedBackend(ProcessPoolBackend(2)).map(batch)
         for a, b in zip(serial, pooled):
             assert a.result.throughput == b.result.throughput
             assert a.result.log.data_sent == b.result.log.data_sent
@@ -191,9 +174,13 @@ class TestSupervisedBackendPooled:
         # A dead worker costs one flow, not the batch: the killer is
         # isolated and quarantined (no retry budget), the rest match
         # serial.
-        batch = payloads(4, RetryPolicy(max_retries=0))
-        serial = [_execute_payload(payload) for payload in batch]
-        outcomes = SupervisedBackend(ProcessPoolBackend(2)).map(_die_on_s1, batch)
+        batch = payloads(4)
+        no_retries = RetryPolicy(max_retries=0)
+        serial = SupervisedBackend().map(batch, retry_policy=no_retries)
+        outcomes = SupervisedBackend(
+            ProcessPoolBackend(2),
+            policy=SupervisorPolicy(chaos=ChaosPlan(crash={"s/1": (0,)})),
+        ).map(batch, retry_policy=no_retries)
         assert [o.spec.flow_id for o in outcomes] == [f"s/{i}" for i in range(4)]
         crashes = [
             f for o in outcomes for f in o.failures
@@ -209,11 +196,11 @@ class TestSupervisedBackendPooled:
         # deadline's reach, so a deadline skips it
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         batch = payloads(3)
-        inline = SupervisedBackend(SerialBackend()).map(_execute_payload, batch)
+        inline = SupervisedBackend(SerialBackend()).map(batch)
         auto = ProcessPoolBackend(2, auto=True)
         pooled = SupervisedBackend(
             auto, policy=SupervisorPolicy(deadline_s=60.0)
-        ).map(_execute_payload, batch)
+        ).map(batch)
         assert auto.last_decision["mode"] == "pool"
         assert auto.last_decision["workers"] == 2
         assert "probe_s" not in auto.last_decision
@@ -224,10 +211,10 @@ class TestSupervisedBackendPooled:
         # a 1-worker pool is stood up so preemption has a process to
         # kill; results must still match inline execution
         batch = payloads(2)
-        inline = SupervisedBackend(SerialBackend()).map(_execute_payload, batch)
+        inline = SupervisedBackend(SerialBackend()).map(batch)
         pooled = SupervisedBackend(
             SerialBackend(), policy=SupervisorPolicy(deadline_s=60.0)
-        ).map(_execute_payload, batch)
+        ).map(batch)
         for a, b in zip(inline, pooled):
             assert a.result.throughput == b.result.throughput
 
@@ -256,21 +243,22 @@ class TestDrainGuard:
             assert not guard.installed
             assert signal.getsignal(signal.SIGINT) == before
 
-    def test_drain_skips_remaining_and_marks_interrupted(self):
+    def test_drain_skips_remaining_and_marks_interrupted(self, monkeypatch):
         clear_interrupt()
         backend = SupervisedBackend(SerialBackend())
         batch = payloads(4)
         fired = []
 
-        def tripping(payload):
+        def tripping(sim_spec):
             # trip the drain flag mid-batch, as a signal handler would
-            outcome = _execute_payload(payload)
-            fired.append(payload[1].flow_id)
+            outcome = simulate_spec(sim_spec)
+            fired.append(sim_spec.flow_id)
             if len(fired) == 2:
                 os.kill(os.getpid(), signal.SIGTERM)
             return outcome
 
-        outcomes = backend.map(tripping, batch)
+        monkeypatch.setattr(executor_module, "simulate_spec", tripping)
+        outcomes = backend.map(batch)
         assert backend.last_interrupted
         assert fired == ["s/0", "s/1"]
         assert [o.skipped for o in outcomes] == [False, False, True, True]
@@ -281,8 +269,6 @@ class TestDrainGuard:
         clear_interrupt()
         specs = [payload[1] for payload in payloads(3)]
         calls = []
-        import repro.exec.executor as executor_module
-
         real = executor_module.simulate_spec
 
         def tripping(s):

@@ -27,15 +27,6 @@ class TestRandomBlock:
         batched = RngStream(seed)
         assert list(batched.random_block(n)) == [scalar.random() for _ in range(n)]
 
-    @given(seed=seeds, n=st.integers(min_value=1, max_value=64))
-    @settings(max_examples=20, deadline=None)
-    def test_returns_reused_preallocated_buffer(self, seed, n):
-        stream = RngStream(seed)
-        first = stream.random_block(n)
-        second = stream.random_block(n)
-        # Same buffer object per (stream, size): no fresh list per call.
-        assert first is second
-
     @given(seed=seeds)
     @settings(max_examples=20, deadline=None)
     def test_stream_position_identical_afterwards(self, seed):

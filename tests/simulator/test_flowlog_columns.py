@@ -17,9 +17,7 @@ import dataclasses
 import pickle
 import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from itertools import compress, repeat
-from multiprocessing import get_context
 from operator import attrgetter, is_not, not_
 
 import pytest
@@ -27,10 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cc import cc_names
-from repro.exec import FlowSpec
-from repro.exec.executor import _execute_payload
+from repro.exec import Executor, FlowSpec, ProcessPoolBackend
 from repro.hsr import CHINA_MOBILE, hsr_scenario
-from repro.robustness.campaign import RetryPolicy
 from repro.simulator import ConnectionConfig, FlowHarness, Simulator
 from repro.simulator.channel import NoLoss, TraceDrivenLoss
 from repro.simulator.metrics import (
@@ -63,17 +59,19 @@ def _metadata(flow_id, duration=6.0):
     )
 
 
-def _payload(cc):
-    spec = FlowSpec(
-        scenario=hsr_scenario(CHINA_MOBILE), duration=6.0, seed=3, cc=cc,
-        flow_id=f"columns/{cc}", metadata=_metadata(f"columns/{cc}"),
-    )
-    return (0, spec, RetryPolicy())
+def _specs():
+    return [
+        FlowSpec(
+            scenario=hsr_scenario(CHINA_MOBILE), duration=6.0, seed=3, cc=cc,
+            flow_id=f"columns/{cc}", metadata=_metadata(f"columns/{cc}"),
+        )
+        for cc in cc_names()
+    ]
 
 
 @pytest.fixture(scope="module")
 def serial_outcomes():
-    return {cc: _execute_payload(_payload(cc)) for cc in cc_names()}
+    return dict(zip(cc_names(), Executor().run(_specs()).outcomes))
 
 
 @pytest.fixture(scope="module")
@@ -346,9 +344,7 @@ class TestEveryCc:
         assert pickle.dumps(cached.trace) == pickle.dumps(outcome.trace)
 
     def test_spawn_pool_round_trip(self, serial_outcomes):
-        payloads = [_payload(cc) for cc in cc_names()]
-        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-            pooled = list(pool.map(_execute_payload, payloads))
+        pooled = Executor(backend=ProcessPoolBackend(2)).run(_specs()).outcomes
         for cc, outcome in zip(cc_names(), pooled):
             fresh = serial_outcomes[cc]
             assert pickle.dumps(outcome.result.log) == pickle.dumps(fresh.result.log)

@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.robustness.campaign import RetryPolicy
 from repro.store import (
     CorruptEntryError,
     RemoteStore,
@@ -23,6 +22,7 @@ from repro.store import (
     open_store,
 )
 from repro.store.disk import encode_entry
+from repro.store.remote import _backoff_s
 from tests.store.entries import column_payload, truncate_block
 
 KEY = "ab" * 32
@@ -34,10 +34,6 @@ PAYLOAD = {"flow_id": "remote/0", "throughput": 12.5}
 def server(tmp_path):
     with StoreServer(tmp_path / "store") as srv:
         yield srv
-
-
-def _fast_retries():
-    return RetryPolicy(max_retries=1, backoff_base_s=0.01)
 
 
 class TestRoundTrip:
@@ -159,7 +155,7 @@ class TestFailureDegradation:
     def test_dead_server_raises_oserror(self, server):
         url = server.url
         server.close()
-        client = RemoteStore(url, retry_policy=_fast_retries())
+        client = RemoteStore(url)
         with pytest.raises(OSError):
             client.load(KEY)
         with pytest.raises(OSError):
@@ -170,7 +166,7 @@ class TestFailureDegradation:
         url = server.url
         server.close()
         breaker = StoreCircuitBreaker(
-            RemoteStore(url, retry_policy=_fast_retries()), threshold=3
+            RemoteStore(url), threshold=3
         )
         for _ in range(3):
             assert breaker.get(KEY) == (None, False, True)
@@ -184,10 +180,27 @@ class TestFailureDegradation:
         root = tmp_path / "store"
         with StoreServer(root) as first:
             port = int(first.url.rsplit(":", 1)[1])
-            client = RemoteStore(first.url, retry_policy=_fast_retries())
+            client = RemoteStore(first.url)
             client.put(KEY, PAYLOAD)
         with StoreServer(root, port=port):
             assert client.load(KEY) == PAYLOAD
+
+
+class TestBackoff:
+    def test_backoff_is_deterministic_and_bounded(self):
+        first = _backoff_s(123, 1)
+        again = _backoff_s(123, 1)
+        assert first == again  # pure function of (seed, attempt)
+        assert 0.05 <= first <= 0.05 * 1.1
+        second = _backoff_s(123, 2)
+        assert 0.1 <= second <= 0.1 * 1.1
+        assert _backoff_s(123, 0) == 0.0
+        # different seeds decorrelate
+        assert _backoff_s(123, 1) != _backoff_s(999, 1)
+
+    def test_first_attempt_never_sleeps(self):
+        assert _backoff_s(7, 0) == 0.0
+        assert _backoff_s(123, 0) == 0.0
 
 
 class TestOpenStore:

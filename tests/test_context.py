@@ -9,7 +9,6 @@ from repro.robustness.watchdog import Watchdog
 from repro.simulator.connection import ConnectionConfig
 from repro.store import RemoteStore, ResultStore
 from repro.telemetry import CampaignTelemetry
-from repro.traces.generator import PAPER_CAMPAIGN, generate_dataset
 
 #: one non-default value per field that ``None`` clears
 FIELD_VALUES = {
@@ -70,9 +69,9 @@ class TestNesting:
         policies = []
         real_map = SupervisedBackend.map
 
-        def spy(self, fn, items, progress=None):
+        def spy(self, *args, **kwargs):
             policies.append(self.policy)
-            return real_map(self, fn, items, progress)
+            return real_map(self, *args, **kwargs)
 
         monkeypatch.setattr(SupervisedBackend, "map", spy)
         watchdog = Watchdog(max_events=10_000_000)
@@ -87,11 +86,3 @@ class TestNesting:
         assert (cold.report.cache_misses, warm.report.cache_hits) == (1, 1)
         assert aggregate.flows == 2
 
-    def test_generate_dataset_without_store_keeps_the_context_store(self, tmp_path):
-        kwargs = dict(duration=2.0, flow_scale=0.01, entries=PAPER_CAMPAIGN[:1])
-        with run_context(store=tmp_path):
-            cold = generate_dataset(store=None, **kwargs)
-        assert ResultStore(tmp_path).stats().entries == cold.report.cache_misses > 0
-        with run_context(store=tmp_path):
-            warm = generate_dataset(**kwargs)
-        assert warm.report.cache_hits == cold.report.cache_misses
